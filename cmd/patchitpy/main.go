@@ -25,10 +25,10 @@
 // extension uses: {"cmd":"detect","code":"..."} and
 // {"cmd":"patch","code":"..."} requests, one response per line. A request
 // may carry "tools":["Bandit",...] to query the baseline analyzers behind
-// the same registry. Repeated identical requests are answered from a
-// content-addressed result cache sized by -cache (MiB, 0 disables);
-// {"cmd":"stats"} reports its hit/miss counters and the prefilter skip
-// rate.
+// the same registry. Repeated identical sources are answered from the
+// engine's content-addressed scan cache sized by -cache (MiB, 0
+// disables); {"cmd":"stats"} reports its hit/miss counters and the
+// prefilter skip rate.
 //
 // Stateful buffer sessions avoid re-scanning a whole document on every
 // keystroke: {"cmd":"open","code":"..."} scans once and returns a
@@ -132,7 +132,7 @@ func runW(w io.Writer, args []string) error {
 		return vetCatalog(engine, w, rest)
 	case "serve":
 		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-		cacheMiB := fs.Int64("cache", 32, "result cache budget per cache, in MiB (0 disables caching)")
+		cacheMiB := fs.Int64("cache", 32, "scan cache budget in MiB (0 disables it)")
 		debugAddr := fs.String("debug-addr", "", "optional HTTP listen address for /metrics, /debug/vars, /debug/traces and /debug/pprof/ (e.g. :6060)")
 		httpAddr := fs.String("http", "", "serve the JSON verbs over HTTP on this address (e.g. :8080) instead of stdin/stdout")
 		workers := fs.Int("workers", 0, "HTTP mode: worker goroutines executing verb work (0 = GOMAXPROCS)")

@@ -101,7 +101,9 @@ func TestDetectNoSummary(t *testing.T) {
 func TestDetectSummaryCacheHits(t *testing.T) {
 	errBuf := captureStderr(t)
 	// Two copies of the same file: the second scan is a cache hit, and the
-	// summary's hit-rate reflects it.
+	// summary's hit-rate reflects it. -j 1 keeps the scans sequential; two
+	// concurrent identical scans share one computation, and the waiting
+	// one counts as a miss.
 	dir := t.TempDir()
 	code, err := os.ReadFile("testdata/project/a.py")
 	if err != nil {
@@ -112,7 +114,7 @@ func TestDetectSummaryCacheHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = runW(io.Discard, []string{"detect", dir + "/..."})
+	err = runW(io.Discard, []string{"detect", "-j", "1", dir + "/..."})
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("expected findings, got %v", err)
 	}

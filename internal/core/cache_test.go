@@ -13,9 +13,9 @@ import (
 	"github.com/dessertlab/patchitpy/internal/prompts"
 )
 
-// TestCachedEquivalenceOverCorpus asserts the cached engine reproduces an
-// uncached engine's Analyze and Fix outputs byte-for-byte over the full
-// corpus, on both a cold and a warm cache.
+// TestCachedEquivalenceOverCorpus asserts the engine over a scan cache
+// reproduces an uncached engine's Analyze and Fix outputs byte-for-byte
+// over the full corpus, on both a cold and a warm cache.
 func TestCachedEquivalenceOverCorpus(t *testing.T) {
 	samples, err := generator.Corpus(prompts.All())
 	if err != nil {
@@ -35,10 +35,10 @@ func TestCachedEquivalenceOverCorpus(t *testing.T) {
 		}
 	}
 	st := cached.CacheStats()
-	if st.Analyze.Hits == 0 || st.Fix.Hits == 0 {
+	if st.Scan.Hits == 0 {
 		t.Errorf("warm pass recorded no hits: %+v", st)
 	}
-	if ust := uncached.CacheStats(); ust.Analyze.Hits+ust.Analyze.Misses != 0 {
+	if ust := uncached.CacheStats(); ust.Scan.Hits+ust.Scan.Misses != 0 {
 		t.Errorf("disabled cache moved counters: %+v", ust)
 	}
 }
@@ -143,10 +143,10 @@ func TestServeStatsVerb(t *testing.T) {
 	if st == nil {
 		t.Fatal("stats verb returned no stats")
 	}
-	if st.Analyze.Hits != 1 || st.Analyze.Misses != 1 {
-		t.Errorf("analyze counters = %+v, want 1 hit / 1 miss", st.Analyze)
+	if st.Scan.Hits != 1 || st.Scan.Misses != 1 {
+		t.Errorf("scan counters = %+v, want 1 hit / 1 miss", st.Scan)
 	}
-	if st.Analyze.HitRate != 0.5 {
-		t.Errorf("hit rate = %f, want 0.5", st.Analyze.HitRate)
+	if st.Scan.HitRate != 0.5 {
+		t.Errorf("hit rate = %f, want 0.5", st.Scan.HitRate)
 	}
 }

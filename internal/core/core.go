@@ -3,11 +3,12 @@
 // two applies the mined safe alternatives and inserts required imports.
 // The root patchitpy package re-exports this API for library users.
 //
-// Both phases are memoized in a content-addressed result cache keyed by
-// (catalog fingerprint, request kind, source text): under server-mode
-// traffic, where the same snippets are re-submitted constantly, a repeated
-// Analyze or Fix is a hash lookup instead of a scan, and concurrent
-// identical requests are de-duplicated to a single computation.
+// Detection is memoized in the detector's content-addressed scan cache,
+// keyed by (catalog fingerprint, options fingerprint, source text): a
+// repeated Analyze, AnalyzeTaint or Fix of the same source is a hash
+// lookup instead of a scan, Fix shares the plain Analyze entry, and
+// concurrent identical requests are de-duplicated to a single scan. Only
+// the cheap report assembly and patch.Apply rerun on a hit.
 package core
 
 import (
@@ -33,17 +34,11 @@ const Version = "0.8.0"
 // obs uptime gauge.
 var processStart = time.Now()
 
-// DefaultCacheBytes is the per-engine budget each result cache (analyze,
-// fix) starts with; SetCacheBytes overrides it.
-const DefaultCacheBytes = 32 << 20
-
 // PatchitPy is the analysis-and-remediation engine. It is safe for
 // concurrent use: all state is immutable after construction except the
-// result caches, which are concurrency-safe.
+// detector's scan cache, which is concurrency-safe.
 type PatchitPy struct {
-	detector     *detect.Detector
-	analyzeCache *resultcache.Cache[Report]
-	fixCache     *resultcache.Cache[FixOutcome]
+	detector *detect.Detector
 
 	// sessions backs the serve protocol's stateful buffer verbs
 	// (open/edit/close): incremental re-scanning over long-lived
@@ -66,8 +61,8 @@ type PatchitPy struct {
 }
 
 // SetObs attaches an observability registry to the engine: the detector's
-// scan metrics (SetObs on the detector), pull-style exports of the
-// analyze/fix result caches, the process uptime gauge, and per-request
+// scan and scan-cache metrics (SetObs on the detector), the process
+// uptime gauge, and per-request
 // counters and latency histograms for the serve session protocol. Pass
 // nil to detach. Setup API — do not call with requests in flight.
 func (p *PatchitPy) SetObs(reg *obs.Registry) {
@@ -80,8 +75,6 @@ func (p *PatchitPy) SetObs(reg *obs.Registry) {
 	}
 	p.detector.SetObs(reg)
 	p.sessions.SetObs(reg)
-	resultcache.RegisterObs(reg, "analyze", func() *resultcache.Cache[Report] { return p.analyzeCache })
-	resultcache.RegisterObs(reg, "fix", func() *resultcache.Cache[FixOutcome] { return p.fixCache })
 	reg.GaugeFunc(obs.MetricUptime, func() float64 { return time.Since(processStart).Seconds() })
 	p.serveReqs = reg.CounterVec(obs.MetricServeRequests, "cmd")
 	p.serveDur = reg.HistogramVec(obs.MetricServeDuration, "cmd", nil)
@@ -105,43 +98,21 @@ func New() *PatchitPy {
 func NewWithCatalog(catalog *rules.Catalog) *PatchitPy {
 	p := &PatchitPy{detector: detect.New(catalog)}
 	p.sessions = docsession.NewManager(p.detector, docsession.DefaultCapacity)
-	p.SetCacheBytes(DefaultCacheBytes)
 	return p
 }
 
-// SetCacheBytes resizes the engine's result caches: the analyze and fix
-// caches each get n bytes, and the detector's scan cache is set to n as
-// well. n <= 0 disables all caching. Existing entries and counters are
-// dropped; call during setup, not with requests in flight.
-func (p *PatchitPy) SetCacheBytes(n int64) {
-	p.analyzeCache = resultcache.New(n, func(key string, r Report) int64 { return reportCost(r) })
-	p.fixCache = resultcache.New(n, func(key string, o FixOutcome) int64 {
-		c := reportCost(o.Report) + int64(len(o.Result.Source))
-		for _, a := range o.Result.Applied {
-			c += int64(len(a.Replacement)) + 64
-		}
-		return c + int64(64*(len(o.Result.Unpatched)+len(o.Edits)+len(o.Result.ImportsAdded)))
-	})
-	p.detector.SetCacheBytes(n)
-}
+// SetCacheBytes resizes the detector's scan cache, the engine's only
+// result cache, to roughly n bytes; n <= 0 disables it. Existing entries
+// and counters are dropped; call during setup, not with requests in
+// flight.
+func (p *PatchitPy) SetCacheBytes(n int64) { p.detector.SetCacheBytes(n) }
 
-func reportCost(r Report) int64 {
-	var c int64
-	for _, f := range r.Findings {
-		c += int64(len(f.Snippet)) + int64(8*len(f.Groups)) + 64
-	}
-	return c + int64(16*len(r.CWEs))
-}
-
-// CacheStats aggregates the hit/miss/eviction counters of every result
-// cache an engine runs, alongside the detector's prefilter statistics.
+// CacheStats pairs the scan cache's hit/miss/eviction counters with the
+// detector's prefilter statistics.
 type CacheStats struct {
-	// Analyze, Fix and Scan are the per-cache counters: Analyze and Fix
-	// cover the two engine entry points, Scan covers the detector-level
-	// cache serving ScanAll and direct detector users.
-	Analyze resultcache.Stats
-	Fix     resultcache.Stats
-	Scan    resultcache.Stats
+	// Scan counts the detector's scan cache, which serves Analyze,
+	// AnalyzeTaint, Fix and ScanAll.
+	Scan resultcache.Stats
 	// Prefilter is the detector's cumulative rule-skip accounting.
 	Prefilter detect.ScanStats
 }
@@ -150,8 +121,6 @@ type CacheStats struct {
 // counters.
 func (p *PatchitPy) CacheStats() CacheStats {
 	return CacheStats{
-		Analyze:   p.analyzeCache.Stats(),
-		Fix:       p.fixCache.Stats(),
 		Scan:      p.detector.CacheStats(),
 		Prefilter: p.detector.Stats(),
 	}
@@ -176,48 +145,8 @@ type Report struct {
 	CWEs []string
 }
 
-// copySlice clones s into a fresh backing array, preserving both nil-ness
-// and empty-but-non-nil-ness so copies stay reflect.DeepEqual to the
-// original.
-func copySlice[T any](s []T) []T {
-	if s == nil {
-		return nil
-	}
-	out := make([]T, len(s))
-	copy(out, s)
-	return out
-}
-
-// copy returns a Report whose top-level slices are fresh, so callers
-// mutating their result cannot corrupt the cached copy; the findings
-// themselves reference immutable rule and source data.
-func (r Report) copy() Report {
-	out := r
-	out.Findings = copySlice(r.Findings)
-	out.CWEs = copySlice(r.CWEs)
-	return out
-}
-
-// hitMiss renders a cache outcome as a span attribute value.
-func hitMiss(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
-// analyzeKey and fixKey are the request-kind cache key components.
-// analyzeTaintKey keys the taint-filtered analyze variant separately, so
-// filtered and unfiltered reports for the same source never collide (and
-// the plain analyze key material stays byte-identical to earlier versions).
-const (
-	analyzeKey      = "analyze"
-	analyzeTaintKey = "analyze|taint"
-	fixKey          = "fix"
-)
-
 // Analyze runs the detection phase on src. Repeated calls with identical
-// src are served from the result cache.
+// src are served from the scan cache.
 func (p *PatchitPy) Analyze(src string) Report {
 	return p.AnalyzeContext(context.Background(), src)
 }
@@ -225,7 +154,7 @@ func (p *PatchitPy) Analyze(src string) Report {
 // AnalyzeContext is Analyze with a caller context, which carries the
 // tracing span tree and any context-scoped obs registry through the scan.
 func (p *PatchitPy) AnalyzeContext(ctx context.Context, src string) Report {
-	return p.analyzeWith(ctx, src, false)
+	return p.analyze(ctx, p.detector.Prepare(src), detect.Options{})
 }
 
 // AnalyzeTaint is AnalyzeTaintContext with a background context.
@@ -237,34 +166,16 @@ func (p *PatchitPy) AnalyzeTaint(src string) Report {
 // enabled: flow-gated findings whose sink argument the taint engine proves
 // constant come back with Suppressed set, and Vulnerable (plus CWEs and
 // the Suppressed count) is computed over the unsuppressed findings only.
-// Filtered reports are cached under their own request-kind key, so they
-// never collide with plain Analyze results for the same source.
+// The options fingerprint keys filtered scans apart from plain ones, so
+// the two never collide in the scan cache.
 func (p *PatchitPy) AnalyzeTaintContext(ctx context.Context, src string) Report {
-	return p.analyzeWith(ctx, src, true)
+	return p.analyze(ctx, p.detector.Prepare(src), detect.Options{TaintFilter: true})
 }
 
-func (p *PatchitPy) analyzeWith(ctx context.Context, src string, taint bool) Report {
-	kind, opt := analyzeKey, detect.Options{NoCache: true}
-	if taint {
-		kind, opt.TaintFilter = analyzeTaintKey, true
-	}
-	if p.analyzeCache == nil {
-		return p.analyzePrepared(ctx, p.detector.Prepare(src), opt)
-	}
-	key := resultcache.Key(p.Catalog().Fingerprint(), kind, src)
-	report, hit := p.analyzeCache.GetOrCompute(key, func() Report {
-		return p.analyzePrepared(ctx, p.detector.Prepare(src), opt)
-	})
-	obs.SpanFrom(ctx).SetAttr("cache.analyze", hitMiss(hit))
-	return report.copy()
-}
-
-// analyzePrepared runs detection over an already-prepared source. The
-// detector-level scan uses NoCache: the engine-level caches already
-// memoize by the same key material, so a second cache layer for the same
-// request would only duplicate memory.
-func (p *PatchitPy) analyzePrepared(ctx context.Context, prep *detect.Prepared, opt detect.Options) Report {
-	opt.NoCache = true
+// analyze runs detection over an already-prepared source through the
+// detector's scan cache and assembles the report. The findings slice is
+// fresh per call, so callers may mutate the report freely.
+func (p *PatchitPy) analyze(ctx context.Context, prep *detect.Prepared, opt detect.Options) Report {
 	findings := p.detector.ScanPreparedContext(ctx, prep, opt)
 	live := findings
 	if opt.TaintFilter {
@@ -297,57 +208,19 @@ type FixOutcome struct {
 	Edits []editor.TextEdit
 }
 
-// copy returns a FixOutcome with fresh top-level slices (see Report.copy).
-func (o FixOutcome) copy() FixOutcome {
-	out := o
-	out.Report = o.Report.copy()
-	out.Result.Applied = copySlice(o.Result.Applied)
-	out.Result.Unpatched = copySlice(o.Result.Unpatched)
-	out.Result.ImportsAdded = copySlice(o.Result.ImportsAdded)
-	out.Edits = copySlice(o.Edits)
-	return out
-}
-
-// Fix runs both phases: detection followed by patching. Repeated calls
-// with identical src are served from the result cache.
+// Fix runs both phases: detection followed by patching. Detection of a
+// repeated src is served from the scan cache, shared with Analyze.
 func (p *PatchitPy) Fix(src string) FixOutcome {
 	return p.FixContext(context.Background(), src)
 }
 
-// FixContext is Fix with a caller context (see AnalyzeContext).
+// FixContext is Fix with a caller context (see AnalyzeContext). One
+// Prepared is shared between the phases: the patch phase's edit positions
+// use the line index of the Prepared the detection scan ran on (the text
+// is unchanged between detection and edit computation).
 func (p *PatchitPy) FixContext(ctx context.Context, src string) FixOutcome {
-	if p.fixCache == nil {
-		return p.fix(ctx, src)
-	}
-	key := resultcache.Key(p.Catalog().Fingerprint(), fixKey, src)
-	outcome, hit := p.fixCache.GetOrCompute(key, func() FixOutcome { return p.fix(ctx, src) })
-	obs.SpanFrom(ctx).SetAttr("cache.fix", hitMiss(hit))
-	return outcome.copy()
-}
-
-// fix is the uncached detect-and-patch body. One Prepared is shared
-// between the phases: the detection scan builds the comment mask and line
-// index over src, and the patch phase's edit positions reuse that same
-// line index (the text is unchanged between detection and edit
-// computation), replacing the per-fix strings.Count of the old SpanEdit
-// path.
-func (p *PatchitPy) fix(ctx context.Context, src string) FixOutcome {
 	prep := p.detector.Prepare(src)
-	var report Report
-	if p.analyzeCache != nil {
-		// Share detection work with Analyze: a prior "detect" on the same
-		// source makes the fix path's detection a cache hit, and a fix-path
-		// miss seeds the analyze cache for later detects.
-		key := resultcache.Key(p.Catalog().Fingerprint(), analyzeKey, src)
-		var hit bool
-		report, hit = p.analyzeCache.GetOrCompute(key, func() Report {
-			return p.analyzePrepared(ctx, prep, detect.Options{})
-		})
-		obs.SpanFrom(ctx).SetAttr("cache.analyze", hitMiss(hit))
-		report = report.copy()
-	} else {
-		report = p.analyzePrepared(ctx, prep, detect.Options{})
-	}
+	report := p.analyze(ctx, prep, detect.Options{})
 	_, patchSpan := obs.Start(ctx, "patch")
 	result := patch.Apply(src, report.Findings)
 	patchSpan.End()

@@ -19,8 +19,8 @@ type engineAnalyzer struct {
 }
 
 // Analyzer returns the engine as a diag.Analyzer named "PatchitPy".
-// Analyze runs both phases through the engine's result caches, so
-// repeated sources cost a hash lookup exactly like direct Fix calls.
+// Analyze runs both phases like a direct Fix call, so a repeated source's
+// detection is a scan-cache lookup.
 func (p *PatchitPy) Analyzer() diag.Analyzer { return engineAnalyzer{p: p} }
 
 // Name implements diag.Analyzer.

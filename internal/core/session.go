@@ -70,8 +70,6 @@ type CacheStatsDTO struct {
 // StatsDTO is the "stats" verb payload: per-cache hit/miss/evict counters
 // plus the detector's prefilter skip accounting.
 type StatsDTO struct {
-	Analyze         CacheStatsDTO `json:"analyze"`
-	Fix             CacheStatsDTO `json:"fix"`
 	Scan            CacheStatsDTO `json:"scan"`
 	RulesConsidered uint64        `json:"rulesConsidered"`
 	RulesSkipped    uint64        `json:"rulesSkipped"`
@@ -421,8 +419,6 @@ func (p *PatchitPy) handleCmd(ctx context.Context, req Request) Response {
 			return CacheStatsDTO{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, HitRate: s.HitRate()}
 		}
 		return Response{OK: true, Stats: &StatsDTO{
-			Analyze:         toDTO(cs.Analyze),
-			Fix:             toDTO(cs.Fix),
 			Scan:            toDTO(cs.Scan),
 			RulesConsidered: cs.Prefilter.RulesConsidered,
 			RulesSkipped:    cs.Prefilter.RulesSkipped,

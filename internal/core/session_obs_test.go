@@ -61,6 +61,7 @@ func TestServeMetricsVerb(t *testing.T) {
 	for _, r := range []Request{
 		{Cmd: "detect", Code: vulnerableApp},
 		{Cmd: "detect", Code: vulnerableApp}, // identical: cache hit
+		{Cmd: "patch", Code: vulnerableApp},  // same source: shares the scan
 		{Cmd: "metrics"},
 	} {
 		b, err := json.Marshal(r)
@@ -75,11 +76,11 @@ func TestServeMetricsVerb(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("responses = %d, want 3", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("responses = %d, want 4", len(lines))
 	}
 	var mr Response
-	if err := json.Unmarshal([]byte(lines[2]), &mr); err != nil || !mr.OK || mr.Metrics == nil {
+	if err := json.Unmarshal([]byte(lines[3]), &mr); err != nil || !mr.OK || mr.Metrics == nil {
 		t.Fatalf("metrics response: %+v (%v)", mr, err)
 	}
 
@@ -89,10 +90,10 @@ func TestServeMetricsVerb(t *testing.T) {
 		t.Errorf("serve detect counter = %g, want 2", got)
 	}
 	if got := mr.Metrics.Counters[obs.MetricScans]; got != 1 {
-		t.Errorf("scans = %g, want 1 (second detect is a cache hit)", got)
+		t.Errorf("scans = %g, want 1 (second detect and the patch are cache hits)", got)
 	}
-	if got := mr.Metrics.Counters[obs.MetricCacheHits+`{cache="analyze"}`]; got != 1 {
-		t.Errorf("analyze cache hits = %g, want 1", got)
+	if got := mr.Metrics.Counters[obs.MetricCacheHits+`{cache="scan"}`]; got != 2 {
+		t.Errorf("scan cache hits = %g, want 2", got)
 	}
 	h, ok := mr.Metrics.Histograms[obs.MetricServeDuration+`{cmd="detect"}`]
 	if !ok || h.Count != 2 {

@@ -1,8 +1,8 @@
 package detect
 
 // The literal prefilter's one-pass engine: an Aho-Corasick automaton built
-// once per catalog over every rule's mandatory literals. PR 1's prefilter
-// ran strings.Contains once per (rule, literal) pair — O(rules × literals
+// once per catalog over every rule's mandatory literals. Probing each
+// (rule, literal) pair with strings.Contains would cost O(rules × literals
 // × n) per scan. The automaton walks the source exactly once, marking
 // which literals occur, and the per-rule admit decision then reads those
 // marks: O(n + matches) per scan regardless of catalog size.
@@ -162,8 +162,8 @@ func buildLiteralIndex(filters []ruleFilter, excludesLits [][]string) *literalIn
 // candidates runs the one-pass literal scan and derives the rule bitset: a
 // rule is a candidate iff at least one of its pattern literals occurred
 // and (when a requires filter exists) at least one requires literal
-// occurred — exactly the decision ruleFilter.admits makes with
-// strings.Contains, proven literal-by-literal in one pass. seen is caller-
+// occurred — exactly the decision per-literal strings.Contains probes
+// would make, proven literal-by-literal in one pass. seen is caller-
 // provided scratch of length ac.numLiterals, zeroed on entry and left
 // dirty on return.
 func (ix *literalIndex) candidates(src string, seen []bool, numRules int) bitset {

@@ -66,7 +66,7 @@ const DefaultCacheBytes = 32 << 20
 type Detector struct {
 	catalog *rules.Catalog
 	rules   []*rules.Rule // catalog order, fetched once
-	filters []ruleFilter  // aligned with rules (strings.Contains path)
+	filters []ruleFilter  // aligned with rules; feeds the automaton
 	lits    *literalIndex // shared Aho-Corasick automaton over all literals
 	allBits bitset        // admit bitset for the zero Options
 
@@ -214,11 +214,15 @@ func (d *Detector) Catalog() *rules.Catalog { return d.catalog }
 // flight.
 func (d *Detector) SetCacheBytes(n int64) {
 	d.cache = resultcache.New(n, func(key string, fs []Finding) int64 {
-		// The key already charges the source text; findings retain spans,
-		// snippets and group slices.
+		// The cache charges the key, which holds its own copy of the
+		// source. Snippets are substrings of the scanned source, so any
+		// finding pins a second full copy; len(key) bounds it from above.
 		var c int64
+		if len(fs) > 0 {
+			c = int64(len(key))
+		}
 		for _, f := range fs {
-			c += int64(len(f.Snippet)) + int64(8*len(f.Groups)) + 64
+			c += int64(8*len(f.Groups)) + 64
 		}
 		return c
 	})
@@ -271,11 +275,6 @@ type Options struct {
 	// rule's regexes to run. Results are identical either way; this exists
 	// for benchmarking the filter and as a correctness cross-check.
 	NoPrefilter bool
-	// ContainsPrefilter selects the per-rule strings.Contains prefilter
-	// (the pre-automaton implementation) instead of the one-pass literal
-	// automaton. Results are identical; this exists for benchmarking the
-	// automaton and as a correctness cross-check.
-	ContainsPrefilter bool
 	// TaintFilter enables the flow-sensitive precision filter: findings of
 	// rules carrying a FlowGate are demoted to suppressed diagnostics when
 	// the taint engine proves the gated sink argument constant at the
@@ -339,12 +338,12 @@ func (s optionSets) admits(r *rules.Rule) bool {
 // fingerprint canonically serializes the result-affecting fields: two
 // Options with the same fingerprint admit the same rules and take the same
 // scan path. Concurrency and NoCache are excluded — they never change
-// results. The prefilter mode fields are included even though results are
-// provably identical across modes, so cross-check scans (NoPrefilter etc.)
-// always do real work instead of reading what the mode under test cached.
+// results. NoPrefilter is included even though results are provably
+// identical either way, so cross-check scans always do real work instead
+// of reading what the prefiltered scan cached.
 func (o Options) fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "s%d|f%t|np%t|cp%t", o.MinSeverity, o.FixableOnly, o.NoPrefilter, o.ContainsPrefilter)
+	fmt.Fprintf(&b, "s%d|f%t|np%t", o.MinSeverity, o.FixableOnly, o.NoPrefilter)
 	if o.TaintFilter {
 		// Appended only when on, so every pre-taint fingerprint (and the
 		// cache keys derived from it) is byte-identical to prior releases.
@@ -422,15 +421,21 @@ func (d *Detector) ScanPrepared(p *Prepared, opt Options) []Finding {
 }
 
 // ScanPreparedContext is ScanPrepared with a context for span tracing
-// (see ScanWithContext).
+// (see ScanWithContext). A cached lookup marks the caller's span with a
+// "cache.scan" attribute of "hit" or "miss".
 func (d *Detector) ScanPreparedContext(ctx context.Context, p *Prepared, opt Options) []Finding {
 	if d.cache == nil || opt.NoCache {
 		return d.scanPrepared(ctx, p, opt)
 	}
 	key := resultcache.Key(d.catalog.Fingerprint(), opt.fingerprint(), p.src)
-	out, _ := d.cache.GetOrCompute(key, func() []Finding {
+	out, hit := d.cache.GetOrCompute(key, func() []Finding {
 		return d.scanPrepared(ctx, p, opt)
 	})
+	verdict := "miss"
+	if hit {
+		verdict = "hit"
+	}
+	obs.SpanFrom(ctx).SetAttr("cache.scan", verdict)
 	return copyFindings(out)
 }
 
@@ -462,9 +467,8 @@ func (d *Detector) scanPrepared(ctx context.Context, p *Prepared, opt Options) [
 
 	fp := opt.fingerprint()
 	admit := d.admitBits(opt, fp)
-	useAutomaton := !opt.NoPrefilter && !opt.ContainsPrefilter
 	var cand bitset
-	if useAutomaton {
+	if !opt.NoPrefilter {
 		if scanSpan != nil {
 			_, sp := obs.Start(ctx, "prefilter")
 			cand = p.candidates()
@@ -490,12 +494,7 @@ func (d *Detector) scanPrepared(ctx context.Context, p *Prepared, opt Options) [
 			continue
 		}
 		considered++
-		if useAutomaton {
-			if !cand.has(i) {
-				skipped++
-				continue
-			}
-		} else if opt.ContainsPrefilter && !d.filters[i].admits(p.src) {
+		if !opt.NoPrefilter && !cand.has(i) {
 			skipped++
 			continue
 		}

@@ -784,15 +784,7 @@ func (d *Detector) RescanEditedContext(ctx context.Context, p *Prepared, prev []
 
 	fp := opt.fingerprint()
 	admit := d.admitBits(opt, fp)
-	prefPass := func(i int) bool {
-		if opt.NoPrefilter {
-			return true
-		}
-		if opt.ContainsPrefilter {
-			return d.filters[i].admits(src)
-		}
-		return cand.has(i)
-	}
+	prefPass := func(i int) bool { return opt.NoPrefilter || cand.has(i) }
 	affected := func(i int) bool {
 		return affRe[i] ||
 			anySeenIn(pd.seenOld, d.lits.patternIDs[i]) || anySeenIn(seenNew, d.lits.patternIDs[i]) ||

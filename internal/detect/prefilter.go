@@ -2,7 +2,6 @@ package detect
 
 import (
 	"regexp/syntax"
-	"strings"
 
 	"github.com/dessertlab/patchitpy/internal/rules"
 )
@@ -20,24 +19,6 @@ import (
 type ruleFilter struct {
 	patternLits  []string
 	requiresLits []string
-}
-
-// admits reports whether src can possibly fire the rule. false is a proof
-// of non-match; true just means the regexes must be consulted.
-func (f ruleFilter) admits(src string) bool {
-	return containsAny(src, f.patternLits) && containsAny(src, f.requiresLits)
-}
-
-func containsAny(src string, lits []string) bool {
-	if lits == nil {
-		return true
-	}
-	for _, lit := range lits {
-		if strings.Contains(src, lit) {
-			return true
-		}
-	}
-	return false
 }
 
 // maxAlternatives caps how many literal alternatives a filter may carry:
@@ -70,7 +51,7 @@ func requiredLiterals(expr string) []string {
 		return nil
 	}
 	for _, lit := range lits {
-		// Single-byte literals match nearly every source; the Contains
+		// Single-byte literals match nearly every source; the literal
 		// check would almost never skip, so drop the filter entirely.
 		if len(lit) < 2 {
 			return nil

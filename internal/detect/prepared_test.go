@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dessertlab/patchitpy/internal/generator"
+	"github.com/dessertlab/patchitpy/internal/obs"
 	"github.com/dessertlab/patchitpy/internal/prompts"
 )
 
@@ -17,7 +18,6 @@ func TestScanPreparedMatchesScanWith(t *testing.T) {
 	for _, opt := range []Options{
 		{},
 		{NoPrefilter: true},
-		{ContainsPrefilter: true},
 		{FixableOnly: true},
 	} {
 		opt.NoCache = true
@@ -132,5 +132,25 @@ func TestScanAllCachedMatchesUncached(t *testing.T) {
 	}
 	if st := d.CacheStats(); st.Hits == 0 {
 		t.Errorf("warm passes recorded no cache hits: %+v", st)
+	}
+}
+
+// TestScanCacheChargesRetainedSource asserts the scan cache's byte budget
+// counts what a cached entry keeps alive: the key's copy of the source
+// plus the scanned source that the findings' snippets point into.
+func TestScanCacheChargesRetainedSource(t *testing.T) {
+	d := New(nil)
+	reg := obs.NewRegistry()
+	reg.Enable()
+	d.SetObs(reg)
+	head := "import hashlib\nh = hashlib.md5(x)\n"
+	src := head + strings.Repeat("x = 1\n", (64<<10-len(head))/6)
+	if len(d.Scan(src)) == 0 {
+		t.Fatal("source should fire")
+	}
+	got := reg.Snapshot().Gauges[obs.MetricCacheBytes+`{cache="scan"}`]
+	if got < float64(2*len(src)) {
+		t.Errorf("scan cache charges %g bytes for a %d-byte source with findings, want >= %d",
+			got, len(src), 2*len(src))
 	}
 }

@@ -127,11 +127,6 @@ type RunOptions struct {
 	// Concurrency bounds the (tool × sample) worker pool
 	// (<= 0 = GOMAXPROCS).
 	Concurrency int
-	// CacheBytes sizes the PatchitPy engine's content-addressed result
-	// caches for the run: 0 keeps the engine default, a negative value
-	// disables caching (the uncached reference configuration — results are
-	// identical either way, which TestCacheAblationIdentical asserts).
-	CacheBytes int64
 	// Obs, when non-nil, receives the run's telemetry: the engine's scan
 	// and cache metrics, the worker pool's saturation gauges, and a
 	// per-analyzer run counter + latency histogram labeled by tool name.
@@ -207,21 +202,6 @@ func newToolkit() *toolkit {
 	return tk
 }
 
-// newToolkitWithCache applies opt's cache sizing and observability
-// registry to a fresh toolkit.
-func newToolkitWithCache(opt RunOptions) *toolkit {
-	tk := newToolkit()
-	if opt.CacheBytes < 0 {
-		tk.engine.SetCacheBytes(0)
-	} else if opt.CacheBytes > 0 {
-		tk.engine.SetCacheBytes(opt.CacheBytes)
-	}
-	if opt.Obs != nil {
-		tk.setObs(opt.Obs)
-	}
-	return tk
-}
-
 // cellSample is the grid column holding per-sample series shared by every
 // tool row (the Generated complexity and the ground-truth quality score);
 // the analyzers occupy columns 1..len(analyzerList).
@@ -284,7 +264,11 @@ func (tk *toolkit) evalCell(ctx context.Context, s generator.Sample, kind int) c
 // grid across opt.Concurrency workers, and honors ctx cancellation. The
 // results are identical to RunSequential at any concurrency.
 func RunContext(ctx context.Context, opt RunOptions) (*Results, error) {
-	return runContext(ctx, opt, newToolkitWithCache(opt))
+	tk := newToolkit()
+	if opt.Obs != nil {
+		tk.setObs(opt.Obs)
+	}
+	return runContext(ctx, opt, tk)
 }
 
 // runContext is RunContext over a caller-supplied toolkit, so tests can

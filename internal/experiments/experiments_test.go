@@ -311,15 +311,17 @@ func TestReportRendering(t *testing.T) {
 	}
 }
 
-// TestCacheAblationIdentical asserts the engine's content-addressed result
-// cache is invisible in the experiment outputs: a run with caching
-// disabled renders byte-for-byte the same report as the cached default.
+// TestCacheAblationIdentical asserts the engine's scan cache is invisible
+// in the experiment outputs: a run with caching disabled renders
+// byte-for-byte the same report as the cached default.
 func TestCacheAblationIdentical(t *testing.T) {
 	cached, err := RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := RunContext(context.Background(), RunOptions{CacheBytes: -1})
+	tk := newToolkit()
+	tk.engine.SetCacheBytes(0)
+	uncached, err := runContext(context.Background(), RunOptions{}, tk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,8 @@ const (
 	MetricPrefilterSkipped    = "patchitpy_prefilter_rules_skipped_total"    // counter fn
 	MetricPrefilterSkipRate   = "patchitpy_prefilter_skip_rate"              // gauge fn: skipped/considered
 
-	// Result caches (internal/resultcache), labeled
-	// cache="analyze"|"fix"|"scan".
+	// Result caches (internal/resultcache), labeled cache="scan" (the
+	// detector's scan cache) or cache="http" (serve's response cache).
 	MetricCacheHits      = "patchitpy_cache_hits_total"      // counter fn{cache}
 	MetricCacheMisses    = "patchitpy_cache_misses_total"    // counter fn{cache}
 	MetricCacheEvictions = "patchitpy_cache_evictions_total" // counter fn{cache}

@@ -1,9 +1,10 @@
 // Package resultcache provides a sharded, size-bounded LRU cache for
 // content-addressed analysis results. Server-mode traffic over AI-generated
 // corpora re-submits the same sources constantly (duplicate snippets,
-// re-scans across revisions), so Analyze/Fix/Scan results are memoized by a
-// key derived from (catalog fingerprint, options fingerprint, source text):
-// identical requests become a hash lookup instead of a full scan.
+// re-scans across revisions), so the detector's scan results are memoized
+// by a key derived from (catalog fingerprint, options fingerprint, source
+// text): identical requests become a hash lookup instead of a full scan.
+// The HTTP front end keeps a second instance for encoded responses.
 //
 // Three properties matter for the serving path:
 //
@@ -171,12 +172,23 @@ func (c *Cache[V]) Add(key string, v V) {
 		return
 	}
 	s := c.shardFor(key)
+	cost := c.costOf(key, v)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c.addLocked(s, key, v, cost)
+}
+
+// costOf is the retained size charged for key → v.
+func (c *Cache[V]) costOf(key string, v V) int64 {
 	cost := int64(len(key))
 	if c.cost != nil {
 		cost += c.cost(key, v)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return cost
+}
+
+// addLocked is Add's body; the caller holds s.mu.
+func (c *Cache[V]) addLocked(s *shard[V], key string, v V, cost int64) {
 	if cost > s.maxBytes {
 		return
 	}
@@ -246,14 +258,19 @@ func (c *Cache[V]) GetOrComputeErr(key string, fn func() (V, error)) (v V, hit b
 
 	cl.val, cl.err = fn()
 
+	// Store the value and retire the flight under one lock, so a caller
+	// arriving in between cannot find neither and compute again.
+	var cost int64
+	if cl.err == nil {
+		cost = c.costOf(key, cl.val)
+	}
 	s.mu.Lock()
+	if cl.err == nil {
+		c.addLocked(s, key, cl.val, cost)
+	}
 	delete(s.inflight, key)
 	s.mu.Unlock()
 	cl.wg.Done()
-
-	if cl.err == nil {
-		c.Add(key, cl.val)
-	}
 	return cl.val, false, cl.err
 }
 

@@ -74,16 +74,13 @@ type Config struct {
 	MaxBodyBytes int64
 	// RetryAfter is the hint sent with a 429 (0: 1s).
 	RetryAfter time.Duration
-	// CacheBytes budgets the encoded-response cache that coalesces
-	// identical deterministic requests (0: 32 MiB; negative: disabled).
-	CacheBytes int64
 }
 
 // DefaultTimeout is the per-request deadline when Config.Timeout is 0.
 const DefaultTimeout = 10 * time.Second
 
-// DefaultCacheBytes is the encoded-response cache budget when
-// Config.CacheBytes is 0.
+// DefaultCacheBytes is the budget of the encoded-response cache that
+// coalesces identical deterministic requests.
 const DefaultCacheBytes = 32 << 20
 
 // Server is the HTTP front end. Construct with New, bind with Listen,
@@ -133,13 +130,12 @@ func New(cfg Config) (*Server, error) {
 	if retryAfter <= 0 {
 		retryAfter = time.Second
 	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = DefaultCacheBytes
-	}
 	s := &Server{
-		engine:     cfg.Engine,
-		queue:      workpool.NewQueue(cfg.Workers, cfg.QueueDepth),
+		engine: cfg.Engine,
+		queue:  workpool.NewQueue(cfg.Workers, cfg.QueueDepth),
+		respCache: resultcache.New(DefaultCacheBytes, func(key string, v []byte) int64 {
+			return int64(len(v))
+		}),
 		timeout:    timeout,
 		maxBody:    maxBody,
 		retryAfter: retryAfter,
@@ -148,11 +144,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Logger != nil {
 		s.queue.SetLogger(cfg.Logger)
-	}
-	if cacheBytes > 0 {
-		s.respCache = resultcache.New(cacheBytes, func(key string, v []byte) int64 {
-			return int64(len(v))
-		})
 	}
 	if reg := cfg.Obs; reg != nil {
 		s.httpReqs = reg.CounterVec(obs.MetricHTTPRequests, "verb")
@@ -369,7 +360,7 @@ func (s *Server) serveVerb(w http.ResponseWriter, r *http.Request) {
 	// A cache hit is answered inline: no queue slot, no worker, no
 	// engine call — the fully encoded response bytes go straight out.
 	var key string
-	if s.respCache != nil && cacheableVerbs[verb] {
+	if cacheableVerbs[verb] {
 		key = s.cacheKey(&req)
 		if cached, ok := s.respCache.Get(key); ok {
 			cache = "hit"
@@ -506,7 +497,7 @@ func (s *Server) execute(ctx context.Context, verb, key string, req *core.Reques
 	}
 	var body []byte
 	var err error
-	if s.respCache != nil && key != "" {
+	if key != "" {
 		body, _, err = s.respCache.GetOrComputeErr(key, compute)
 	} else {
 		body, err = compute()

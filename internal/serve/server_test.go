@@ -95,11 +95,22 @@ func TestDetectEndpoint(t *testing.T) {
 }
 
 func TestPatchAndSuggestEndpoints(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
+	_, ts, reg := newTestServer(t, Config{})
 	body, _ := json.Marshal(core.Request{Code: vulnCode})
+	if status, resp := post(t, ts, "/v1/detect", string(body)); status != http.StatusOK || !resp.OK {
+		t.Fatalf("detect: status=%d resp=%+v", status, resp)
+	}
 	status, resp := post(t, ts, "/v1/patch", string(body))
 	if status != http.StatusOK || !resp.OK || resp.Patched == "" {
 		t.Fatalf("patch: status=%d resp=%+v", status, resp)
+	}
+	// A patch after a detect of the same source reuses the detect's scan.
+	snap := reg.Snapshot()
+	if got := snap.Counters[obs.MetricScans]; got != 1 {
+		t.Errorf("scans after detect+patch = %g, want 1", got)
+	}
+	if got := snap.Counters[obs.MetricCacheHits+`{cache="scan"}`]; got != 1 {
+		t.Errorf("scan cache hits after detect+patch = %g, want 1", got)
 	}
 	if !strings.Contains(resp.Patched, "safe_load") {
 		t.Errorf("patch did not rewrite yaml.load: %q", resp.Patched)

@@ -155,8 +155,8 @@ func TestTraceCorrelationEndToEnd(t *testing.T) {
 	}
 	if sd, ok := findSpan(root, func(sd obs.SpanData) bool { return sd.Name == "serve.detect" }); !ok {
 		t.Errorf("trace has no serve.detect span")
-	} else if sd.Attrs["cache.analyze"] != "miss" {
-		t.Errorf("serve.detect attrs = %v, want cache.analyze=miss", sd.Attrs)
+	} else if sd.Attrs["cache.scan"] != "miss" {
+		t.Errorf("serve.detect attrs = %v, want cache.scan=miss", sd.Attrs)
 	}
 	if sd, ok := findSpan(root, func(sd obs.SpanData) bool { return sd.Attrs["rule"] != nil }); !ok {
 		t.Errorf("trace has no rule span (vulnCode should fire one)")
