@@ -57,8 +57,8 @@
 // or content negotiation), /debug/vars, /debug/traces (JSON, or
 // Perfetto-loadable Chrome trace events with ?format=chrome) and
 // /debug/pprof/. HTTP requests may carry a W3C traceparent header; the
-// response echoes the trace ID in X-Patchitpy-Trace and in the protocol
-// response's "trace" field.
+// response echoes the trace ID in X-Patchitpy-Trace. Over stdio the
+// protocol response's "trace" field carries it.
 package main
 
 import (

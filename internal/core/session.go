@@ -99,8 +99,7 @@ type FixPreview struct {
 // IncStatsDTO describes the incremental work behind one "edit"
 // response: how much of the buffer was treated as dirty and how the
 // rule set split between re-running and replaying. Clients use it to
-// report re-scan efficiency; the loadgen benchmark aggregates it into
-// an incremental-hit-rate.
+// report re-scan efficiency.
 type IncStatsDTO struct {
 	// Full is true when the edit fell back to a from-scratch scan.
 	Full bool `json:"full"`
@@ -168,7 +167,8 @@ type Response struct {
 	// recorded (hex, the W3C traceparent trace-id field), present only
 	// when an enabled obs registry traced the request. Clients quote it
 	// to correlate a response with /debug/traces, histogram exemplars
-	// and log records.
+	// and log records. The HTTP front end leaves it out of the body and
+	// sends it in the X-Patchitpy-Trace header instead.
 	Trace string `json:"trace,omitempty"`
 }
 

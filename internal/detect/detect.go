@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/dessertlab/patchitpy/internal/obs"
-	"github.com/dessertlab/patchitpy/internal/pytoken"
 	"github.com/dessertlab/patchitpy/internal/resultcache"
 	"github.com/dessertlab/patchitpy/internal/rules"
 	"github.com/dessertlab/patchitpy/internal/taint"
@@ -666,21 +665,6 @@ func DistinctCWEs(findings []Finding) []string {
 
 // span is a half-open byte interval.
 type span struct{ start, end int }
-
-// commentMask returns the byte spans of comments in src, so matches inside
-// them can be suppressed. It tokenizes best-effort: on a tokenizer error
-// the spans collected so far are still used. Tokens arrive in source
-// order and never overlap, so the spans are sorted — inMask relies on it.
-func commentMask(src string) []span {
-	toks, _ := pytoken.TokenizeAll(src)
-	var out []span
-	for _, t := range toks {
-		if t.Kind == pytoken.KindComment {
-			out = append(out, span{t.Pos.Offset, t.Pos.Offset + len(t.Text)})
-		}
-	}
-	return out
-}
 
 // inMask reports whether off falls inside any masked span, by binary
 // search over the sorted, non-overlapping spans.

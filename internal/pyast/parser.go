@@ -35,7 +35,15 @@ type parser struct {
 	toks []pytoken.Token
 	pos  int
 	mod  *Module
+	// depth counts the brackets open around the current position.
+	depth int
 }
+
+// maxNesting bounds bracket nesting at CPython's own limit (the
+// tokenizer's MAXLEVEL), so no valid Python is rejected: each level
+// costs a dozen recursive calls, and an unbounded one lets a few hundred
+// KB of "(" overflow the goroutine stack, which no recover can catch.
+const maxNesting = 200
 
 // bailout carries a recovered syntax error up to the statement loop.
 // Panic/recover is used strictly as internal control flow within this
@@ -45,6 +53,18 @@ type bailout struct{ err *ParseError }
 func (p *parser) errorf(format string, args ...any) {
 	panic(bailout{err: &ParseError{Msg: fmt.Sprintf(format, args...), Position: p.peek().Pos}})
 }
+
+// openBracket counts one more open bracket, failing the statement
+// beyond maxNesting; closeBracket undoes it. parseStatementRecover resets
+// the count of a failed statement.
+func (p *parser) openBracket() {
+	p.depth++
+	if p.depth > maxNesting {
+		p.errorf("too many nested brackets (limit %d)", maxNesting)
+	}
+}
+
+func (p *parser) closeBracket() { p.depth-- }
 
 func (p *parser) peek() pytoken.Token { return p.toks[p.pos] }
 
@@ -109,7 +129,7 @@ func (p *parser) parseModule() *Module {
 // BadStmt plus a recorded error and resynchronizing at the next logical
 // line.
 func (p *parser) parseStatementRecover() (stmts []Stmt) {
-	start := p.pos
+	start, depth := p.pos, p.depth
 	defer func() {
 		if r := recover(); r != nil {
 			b, ok := r.(bailout)
@@ -117,6 +137,7 @@ func (p *parser) parseStatementRecover() (stmts []Stmt) {
 				panic(r)
 			}
 			p.mod.Errors = append(p.mod.Errors, b.err)
+			p.depth = depth
 			// resync: skip to after the next NEWLINE
 			if p.pos == start {
 				p.next()
@@ -910,13 +931,17 @@ func (p *parser) parsePrimary() Expr {
 		case p.at(pytoken.KindOp, "("):
 			pos := p.next().Pos
 			call := &Call{Func: e, Position: pos}
+			p.openBracket()
 			p.parseCallArgs(call)
 			p.expect(pytoken.KindOp, ")")
+			p.closeBracket()
 			e = call
 		case p.at(pytoken.KindOp, "["):
 			pos := p.next().Pos
+			p.openBracket()
 			idx := p.parseSubscriptIndex()
 			p.expect(pytoken.KindOp, "]")
+			p.closeBracket()
 			e = &Subscript{Value: e, Index: idx, Position: pos}
 		case p.at(pytoken.KindOp, "."):
 			pos := p.next().Pos
@@ -1123,6 +1148,8 @@ func Unquote(tok string) string {
 
 func (p *parser) parseParenAtom() Expr {
 	pos := p.expect(pytoken.KindOp, "(").Pos
+	p.openBracket()
+	defer p.closeBracket()
 	if p.accept(pytoken.KindOp, ")") {
 		return &Tuple{Position: pos}
 	}
@@ -1154,6 +1181,8 @@ func (p *parser) parseParenAtom() Expr {
 
 func (p *parser) parseListAtom() Expr {
 	pos := p.expect(pytoken.KindOp, "[").Pos
+	p.openBracket()
+	defer p.closeBracket()
 	if p.accept(pytoken.KindOp, "]") {
 		return &List{Position: pos}
 	}
@@ -1176,6 +1205,8 @@ func (p *parser) parseListAtom() Expr {
 
 func (p *parser) parseDictSetAtom() Expr {
 	pos := p.expect(pytoken.KindOp, "{").Pos
+	p.openBracket()
+	defer p.closeBracket()
 	if p.accept(pytoken.KindOp, "}") {
 		return &Dict{Position: pos}
 	}

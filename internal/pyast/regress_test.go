@@ -3,6 +3,7 @@ package pyast
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -137,5 +138,44 @@ func TestWalkVisitsEveryChild(t *testing.T) {
 		if !reflect.DeepEqual(sorted, tc.want) {
 			t.Errorf("%q: walked identifiers %v, want %v", tc.src, sorted, tc.want)
 		}
+	}
+}
+
+// TestNestingBound: brackets nested up to CPython's limit parse, one level
+// more is a recovered syntax error, and 100k levels end in that error
+// instead of a goroutine stack overflow, with the next statement parsed.
+func TestNestingBound(t *testing.T) {
+	nest := func(open, inner, shut string, n int) string {
+		return "x = " + strings.Repeat(open, n) + inner + strings.Repeat(shut, n) + "\n"
+	}
+	shapes := []struct{ open, inner, shut string }{
+		{"(", "1", ")"},
+		{"[", "1", "]"},
+		{"{", "1", "}"},
+		{"f(", "", ")"},
+		{"a[", "0", "]"},
+	}
+	for _, sh := range shapes {
+		if m := MustParse(nest(sh.open, sh.inner, sh.shut, maxNesting)); len(m.Errors) != 0 {
+			t.Errorf("%q nested %d deep: %v", sh.open, maxNesting, m.Errors)
+		}
+		m := MustParse(nest(sh.open, sh.inner, sh.shut, maxNesting+1))
+		if len(m.Errors) != 1 || !strings.Contains(m.Errors[0].Msg, "too many nested brackets") {
+			t.Errorf("%q nested %d deep: errors %v, want one nesting error", sh.open, maxNesting+1, m.Errors)
+		}
+	}
+
+	m := MustParse(nest("(", "1", ")", 100000) + "y = 2\n")
+	if len(m.Errors) != 1 || !strings.Contains(m.Errors[0].Msg, "too many nested brackets") {
+		t.Fatalf("errors %v, want one nesting error", m.Errors)
+	}
+	if len(m.Body) != 2 {
+		t.Fatalf("body has %d statements, want 2", len(m.Body))
+	}
+	if _, ok := m.Body[0].(*BadStmt); !ok {
+		t.Errorf("first statement = %T, want *BadStmt", m.Body[0])
+	}
+	if a, ok := m.Body[1].(*Assign); !ok || a.Targets[0].(*Name).ID != "y" {
+		t.Errorf("second statement = %#v, want y = 2", m.Body[1])
 	}
 }

@@ -361,7 +361,7 @@ func (s *Server) serveVerb(w http.ResponseWriter, r *http.Request) {
 	// engine call — the fully encoded response bytes go straight out.
 	var key string
 	if cacheableVerbs[verb] {
-		key = s.cacheKey(&req)
+		key = s.cacheKey(verb, body)
 		if cached, ok := s.respCache.Get(key); ok {
 			cache = "hit"
 			status = http.StatusOK
@@ -456,16 +456,12 @@ func (s *Server) logRequest(ctx context.Context, verb string, status int, cache 
 	s.logger.InfoContext(ctx, "request", attrs...)
 }
 
-// cacheKey derives the response-cache key for req: catalog fingerprint
-// (a catalog swap invalidates everything), verb, the canonicalized tools
-// selection, and the source text.
-func (s *Server) cacheKey(req *core.Request) string {
-	tools := ""
-	if len(req.Tools) > 0 {
-		b, _ := json.Marshal(req.Tools)
-		tools = string(b)
-	}
-	return resultcache.Key(s.engine.Catalog().Fingerprint(), "http", req.Cmd, tools, req.Code)
+// cacheKey derives the response-cache key of a request: catalog
+// fingerprint (a catalog swap invalidates everything), verb, and the raw
+// request body, so every request field that can change the response is
+// part of the key.
+func (s *Server) cacheKey(verb string, body []byte) string {
+	return resultcache.Key(s.engine.Catalog().Fingerprint(), "http", verb, string(body))
 }
 
 // errNotOK marks a protocol-level failure response (ok:false): the
@@ -480,6 +476,10 @@ var errNotOK = errors.New("serve: protocol error response")
 func (s *Server) execute(ctx context.Context, verb, key string, req *core.Request) (int, []byte) {
 	compute := func() ([]byte, error) {
 		resp := s.engine.Handle(ctx, *req)
+		// The X-Patchitpy-Trace header carries each request's own trace
+		// ID; a body may be cached and sent to later requests, so it
+		// carries none.
+		resp.Trace = ""
 		encStart := time.Now()
 		b, err := json.Marshal(resp)
 		// Under coalescing, ctx (and so the span) belongs to the request

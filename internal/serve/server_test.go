@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -275,6 +277,81 @@ func TestResponseCacheCoalesces(t *testing.T) {
 	}
 	if st := s.respCache.Stats(); st.Hits != hitsBefore {
 		t.Errorf("failing response was served from cache (hits %d -> %d)", hitsBefore, st.Hits)
+	}
+}
+
+// TestResponseCacheKeysOnTaint proves the response cache keys on every
+// request field: a taint-filtered detect after a plain detect of the same
+// code gets the filtered answer, not the cached plain one.
+func TestResponseCacheKeysOnTaint(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	const code = "import os\nos.system(\"ls -l\")\n"
+	plain, _ := json.Marshal(core.Request{Code: code})
+	filtered, _ := json.Marshal(core.Request{Code: code, Taint: true})
+	if _, resp := post(t, ts, "/v1/detect", string(plain)); !resp.Vulnerable || resp.TaintSuppressed != 0 {
+		t.Fatalf("plain detect: %+v", resp)
+	}
+	_, resp := post(t, ts, "/v1/detect", string(filtered))
+	if resp.Vulnerable || resp.TaintSuppressed != 1 || len(resp.Findings) != 1 || !resp.Findings[0].Suppressed {
+		t.Errorf("taint detect after a plain one: %+v, want its one finding suppressed", resp)
+	}
+}
+
+// TestCachedBodyCarriesNoTrace sends one detect twice under different
+// traceparents. The second is a cache hit; each response's header names
+// its own trace, and neither body carries a trace ID, so a cached body
+// cannot hand one request's ID to another.
+func TestCachedBodyCarriesNoTrace(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
+	body, _ := json.Marshal(core.Request{Code: vulnCode})
+	tids := []string{"4bf92f3577b34da6a3ce929d0e0e4736", "0af7651916cd43dd8448eb211c80319c"}
+	for _, tid := range tids {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("traceparent", "00-"+tid+"-00f067aa0ba902b7-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("X-Patchitpy-Trace"); got != tid {
+			t.Errorf("X-Patchitpy-Trace = %q, want %q", got, tid)
+		}
+		for _, other := range tids {
+			if bytes.Contains(raw, []byte(other)) {
+				t.Errorf("request traced %s got a body holding trace %s: %s", tid, other, raw)
+			}
+		}
+	}
+	if st := s.respCache.Stats(); st.Hits != 1 {
+		t.Errorf("response cache hits = %d, want 1", st.Hits)
+	}
+}
+
+// TestDeepNestingAnswered sends code nesting brackets 100k deep, which
+// reaches the parser through a taint-filtered detect and through "tools";
+// each request gets an answer and the server keeps serving.
+func TestDeepNestingAnswered(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	code := "x = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "\n"
+	next, _ := json.Marshal(core.Request{Code: vulnCode})
+	for _, req := range []core.Request{
+		{Code: code, Taint: true},
+		{Code: code, Tools: []string{"Bandit", "CodeQL"}},
+	} {
+		body, _ := json.Marshal(req)
+		if status, resp := post(t, ts, "/v1/detect", string(body)); status != http.StatusOK || !resp.OK {
+			t.Errorf("deep nesting (taint=%t tools=%v): status=%d resp=%+v", req.Taint, req.Tools, status, resp)
+		}
+		if status, resp := post(t, ts, "/v1/detect", string(next)); status != http.StatusOK || !resp.Vulnerable {
+			t.Fatalf("detect after deep nesting: status=%d resp=%+v", status, resp)
+		}
 	}
 }
 
