@@ -33,6 +33,7 @@ import (
 	"github.com/dessertlab/patchitpy/internal/obs"
 	"github.com/dessertlab/patchitpy/internal/prompts"
 	"github.com/dessertlab/patchitpy/internal/stats"
+	"github.com/dessertlab/patchitpy/internal/workpool"
 )
 
 var (
@@ -43,9 +44,11 @@ var (
 
 func benchRun(b *testing.B) *experiments.Results {
 	b.Helper()
-	benchOnce.Do(func() { benchResults, benchErr = experiments.Run() })
+	benchOnce.Do(func() {
+		benchResults, benchErr = experiments.RunContext(context.Background(), experiments.RunOptions{})
+	})
 	if benchErr != nil {
-		b.Fatalf("experiments.Run: %v", benchErr)
+		b.Fatalf("experiments.RunContext: %v", benchErr)
 	}
 	return benchResults
 }
@@ -182,39 +185,54 @@ func BenchmarkQualityScores(b *testing.B) {
 	}
 }
 
-// corpusSources converts the 609-sample corpus into detect.Source values.
-func corpusSources(b *testing.B) []detect.Source {
-	b.Helper()
+// corpusSources returns the code of the 609-sample corpus.
+func corpusSources(tb testing.TB) []string {
+	tb.Helper()
 	samples, err := generator.Corpus(prompts.All())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	srcs := make([]detect.Source, len(samples))
+	srcs := make([]string, len(samples))
 	for i, s := range samples {
-		srcs[i] = detect.Source{Name: s.PromptID + "/" + s.Model, Code: s.Code}
+		srcs[i] = s.Code
 	}
 	return srcs
 }
 
-// BenchmarkScanCorpus scans the full corpus through the concurrent,
-// automaton-prefiltered path (detect.ScanAll) and reports the prefilter's
-// skip rate. NoCache keeps every iteration doing real scans, so this
-// measures single-scan cost, not cache hits — BenchmarkServeHotVsCold
-// covers the cached path. Compare against BenchmarkScanCorpusSequential —
-// the results are byte-identical (asserted by TestScanAllMatchesScan,
-// TestAutomatonPrefilterTransparent and TestScanAllCachedMatchesUncached
-// in internal/detect).
+// scanCorpus scans every source across GOMAXPROCS workers, the way the
+// CLI fans a multi-file detect across the pool. out[i] holds srcs[i]'s
+// findings.
+func scanCorpus(ctx context.Context, d *detect.Detector, srcs []string, opt detect.Options) ([][]detect.Finding, error) {
+	out := make([][]detect.Finding, len(srcs))
+	err := workpool.Run(ctx, len(srcs), 0, func(i int) {
+		out[i] = d.ScanWithContext(ctx, srcs[i], opt)
+	})
+	return out, err
+}
+
+func totalBytes(srcs []string) int64 {
+	var total int64
+	for _, s := range srcs {
+		total += int64(len(s))
+	}
+	return total
+}
+
+// BenchmarkScanCorpus scans the full corpus concurrently through the
+// automaton-prefiltered path and reports the prefilter's skip rate.
+// NoCache keeps every iteration doing real scans, so this measures
+// single-scan cost, not cache hits — BenchmarkServeHotVsCold covers the
+// cached path. Compare against BenchmarkScanCorpusSequential — the
+// results are byte-identical (asserted by
+// TestAutomatonPrefilterTransparent and
+// TestScanAllCachedMatchesUncached in internal/detect).
 func BenchmarkScanCorpus(b *testing.B) {
 	srcs := corpusSources(b)
 	d := detect.New(nil)
-	var total int64
-	for _, s := range srcs {
-		total += int64(len(s.Code))
-	}
-	b.SetBytes(total)
+	b.SetBytes(totalBytes(srcs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.ScanAll(context.Background(), srcs, detect.Options{NoCache: true}); err != nil {
+		if _, err := scanCorpus(context.Background(), d, srcs, detect.Options{NoCache: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,21 +250,17 @@ func BenchmarkScanCorpus(b *testing.B) {
 func BenchmarkTaintCorpus(b *testing.B) {
 	srcs := corpusSources(b)
 	d := detect.New(nil)
-	var total int64
-	for _, s := range srcs {
-		total += int64(len(s.Code))
-	}
-	b.SetBytes(total)
+	b.SetBytes(totalBytes(srcs))
 	b.ResetTimer()
 	var suppressed int
 	for i := 0; i < b.N; i++ {
-		res, err := d.ScanAll(context.Background(), srcs, detect.Options{NoCache: true, TaintFilter: true})
+		res, err := scanCorpus(context.Background(), d, srcs, detect.Options{NoCache: true, TaintFilter: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		suppressed = 0
-		for _, r := range res {
-			for _, f := range r.Findings {
+		for _, fs := range res {
+			for _, f := range fs {
 				if f.Suppressed {
 					suppressed++
 				}
@@ -269,16 +283,12 @@ func BenchmarkTaintCorpus(b *testing.B) {
 //	go test -bench 'ScanCorpus(Obs)?$' -count 10 . | benchstat
 func BenchmarkScanCorpusObs(b *testing.B) {
 	srcs := corpusSources(b)
-	var total int64
-	for _, s := range srcs {
-		total += int64(len(s.Code))
-	}
 	scan := func(b *testing.B, d *detect.Detector, ctx context.Context) {
 		b.Helper()
-		b.SetBytes(total)
+		b.SetBytes(totalBytes(srcs))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.ScanAll(ctx, srcs, detect.Options{NoCache: true}); err != nil {
+			if _, err := scanCorpus(ctx, d, srcs, detect.Options{NoCache: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -307,15 +317,11 @@ func BenchmarkScanCorpusObs(b *testing.B) {
 func BenchmarkScanCorpusSequential(b *testing.B) {
 	srcs := corpusSources(b)
 	d := detect.New(nil)
-	var total int64
-	for _, s := range srcs {
-		total += int64(len(s.Code))
-	}
-	b.SetBytes(total)
+	b.SetBytes(totalBytes(srcs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range srcs {
-			d.ScanWith(s.Code, detect.Options{NoPrefilter: true, NoCache: true})
+			d.ScanWith(s, detect.Options{NoPrefilter: true, NoCache: true})
 		}
 	}
 }
@@ -328,12 +334,10 @@ func BenchmarkScanPrepared(b *testing.B) {
 	srcs := corpusSources(b)
 	d := detect.New(nil)
 	prepared := make([]*detect.Prepared, len(srcs))
-	var total int64
 	for i, s := range srcs {
-		prepared[i] = d.Prepare(s.Code)
-		total += int64(len(s.Code))
+		prepared[i] = d.Prepare(s)
 	}
-	b.SetBytes(total)
+	b.SetBytes(totalBytes(srcs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range prepared {
@@ -351,19 +355,15 @@ func BenchmarkScanPrepared(b *testing.B) {
 // between the two (asserted by TestAutomatonPrefilterTransparent).
 func BenchmarkPrefilterAutomatonVsNone(b *testing.B) {
 	srcs := corpusSources(b)
-	var total int64
-	for _, s := range srcs {
-		total += int64(len(s.Code))
-	}
 	run := func(name string, opt detect.Options) {
 		b.Run(name, func(b *testing.B) {
 			d := detect.New(nil)
 			opt.NoCache = true
-			b.SetBytes(total)
+			b.SetBytes(totalBytes(srcs))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, s := range srcs {
-					d.ScanWith(s.Code, opt)
+					d.ScanWith(s, opt)
 				}
 			}
 			b.StopTimer()
@@ -452,7 +452,7 @@ func BenchmarkTable2Sequential(b *testing.B) {
 // BenchmarkFullEvaluation runs the complete harness (all tables + figure).
 func BenchmarkFullEvaluation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(); err != nil {
+		if _, err := experiments.RunContext(context.Background(), experiments.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

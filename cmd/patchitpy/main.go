@@ -329,26 +329,27 @@ func detectFiles(engine *patchitpy.Engine, w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	srcs := make([]detect.Source, len(paths))
+	codes := make([]string, len(paths))
 	for i, path := range paths {
 		code, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		srcs[i] = detect.Source{Name: path, Code: string(code)}
+		codes[i] = string(code)
 	}
 
 	// Fan the per-file work across the pool; each task runs every selected
 	// analyzer and merges the findings into canonical order. The native
-	// analyzer's scans go through the engine's content-addressed result
-	// cache, so duplicate file contents cost one scan.
+	// analyzer's scans go through the content-addressed result cache of
+	// the Detector detectRegistry builds for this run, so duplicate file
+	// contents cost one scan.
 	ctx := obs.With(context.Background(), obsReg)
-	files := make([]diag.FileFindings, len(srcs))
-	err = workpool.Run(ctx, len(srcs), *jobs, func(i int) {
+	files := make([]diag.FileFindings, len(paths))
+	err = workpool.Run(ctx, len(paths), *jobs, func(i int) {
 		var merged []diag.Finding
 		for _, a := range selected {
 			start := time.Now()
-			res, err := a.Analyze(ctx, srcs[i].Code)
+			res, err := a.Analyze(ctx, codes[i])
 			analyzerDur.With(a.Name()).Observe(time.Since(start))
 			analyzerRuns.Add(a.Name(), 1)
 			if err != nil {
@@ -357,7 +358,7 @@ func detectFiles(engine *patchitpy.Engine, w io.Writer, args []string) error {
 			merged = append(merged, res.Findings...)
 		}
 		diag.Sort(merged)
-		files[i] = diag.FileFindings{File: srcs[i].Name, Findings: merged}
+		files[i] = diag.FileFindings{File: paths[i], Findings: merged}
 	})
 	if err != nil {
 		return err

@@ -2,7 +2,6 @@ package querydb
 
 import (
 	"context"
-	"sort"
 
 	"github.com/dessertlab/patchitpy/internal/diag"
 )
@@ -48,15 +47,4 @@ func (a analyzer) Analyze(ctx context.Context, src string) (diag.Result, error) 
 	}
 	diag.Sort(out)
 	return diag.Result{Tool: ToolName, Findings: out, Vulnerable: len(rs) > 0}, nil
-}
-
-// SortResults orders native query hits by (line, query ID) — the same
-// deterministic order the diag model uses.
-func SortResults(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Line != rs[j].Line {
-			return rs[i].Line < rs[j].Line
-		}
-		return rs[i].Query < rs[j].Query
-	})
 }

@@ -49,18 +49,3 @@ func TestAnalyzerMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-func TestSortResults(t *testing.T) {
-	rs := []Result{
-		{Query: "py/b", Line: 5},
-		{Query: "py/a", Line: 5},
-		{Query: "py/c", Line: 2},
-	}
-	SortResults(rs)
-	want := []Result{{Query: "py/c", Line: 2}, {Query: "py/a", Line: 5}, {Query: "py/b", Line: 5}}
-	for i := range want {
-		if rs[i].Query != want[i].Query {
-			t.Fatalf("order = %+v", rs)
-		}
-	}
-}

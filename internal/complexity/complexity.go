@@ -73,20 +73,6 @@ func AnalyzeModule(mod *pyast.Module) []BlockScore {
 	return out
 }
 
-// Average returns the mean block complexity of src — the per-sample value
-// aggregated in the paper's Fig. 3. Unparseable samples score 1.
-func Average(src string) float64 {
-	blocks, err := Analyze(src)
-	if err != nil || len(blocks) == 0 {
-		return 1
-	}
-	total := 0
-	for _, b := range blocks {
-		total += b.Score
-	}
-	return float64(total) / float64(len(blocks))
-}
-
 // Program returns the whole-program cyclomatic complexity of src: one plus
 // every decision point in the file (V(G) = E - N + 2 for the single
 // connected program graph). This is the per-sample scalar aggregated in

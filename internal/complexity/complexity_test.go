@@ -1,7 +1,6 @@
 package complexity
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -118,18 +117,17 @@ func TestMethodsScored(t *testing.T) {
 	}
 }
 
-func TestAverage(t *testing.T) {
+func TestProgram(t *testing.T) {
 	src := "def a():\n    return 1\n\ndef b(x):\n    if x:\n        return 1\n    return 0\n"
-	// blocks: a=1, b=2, <module>=1 -> mean 4/3
-	got := Average(src)
-	if math.Abs(got-4.0/3.0) > 1e-9 {
-		t.Errorf("Average = %v, want 1.333", got)
+	// blocks: a=1, b=2, <module>=1 -> one plus the single decision point
+	if got := Program(src); got != 2 {
+		t.Errorf("Program = %v, want 2", got)
 	}
 }
 
-func TestAverageUnparseable(t *testing.T) {
-	if got := Average("def (broken"); got < 1 {
-		t.Errorf("Average on broken source = %v, want >= 1", got)
+func TestProgramUnparseable(t *testing.T) {
+	if got := Program("def (broken"); got != 1 {
+		t.Errorf("Program on broken source = %v, want 1", got)
 	}
 }
 

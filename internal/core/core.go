@@ -111,7 +111,8 @@ func (p *PatchitPy) SetCacheBytes(n int64) { p.detector.SetCacheBytes(n) }
 // detector's prefilter statistics.
 type CacheStats struct {
 	// Scan counts the detector's scan cache, which serves Analyze,
-	// AnalyzeTaint, Fix and ScanAll.
+	// AnalyzeTaint and Fix, and through them the detect, suggest and
+	// patch verbs.
 	Scan resultcache.Stats
 	// Prefilter is the detector's cumulative rule-skip accounting.
 	Prefilter detect.ScanStats

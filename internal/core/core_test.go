@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -142,6 +144,60 @@ func TestServeMalformedLine(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], `"ok":true`) {
 		t.Errorf("session did not survive the bad line: %s", lines[1])
+	}
+}
+
+// TestServeOversizedLine: a line over MaxRequestBytes gets the error
+// HTTP's 413 carries, and the session keeps serving the lines after it.
+func TestServeOversizedLine(t *testing.T) {
+	p := New()
+	big := `{"cmd":"detect","code":"` + strings.Repeat("x", 5<<20) + `"}`
+	in := strings.NewReader(`{"cmd":"ping"}` + "\n" + big + "\n" + `{"cmd":"ping"}` + "\n")
+	var out bytes.Buffer
+	if err := p.Serve(in, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("responses = %d, want 3: %s", len(lines), out.String())
+	}
+	var resps [3]Response
+	for i, l := range lines {
+		if err := json.Unmarshal([]byte(l), &resps[i]); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+	}
+	if !resps[0].OK || !resps[2].OK {
+		t.Errorf("pings around the oversized line: %+v, %+v", resps[0], resps[2])
+	}
+	want := "request body exceeds 4194304 bytes"
+	if resps[1].OK || resps[1].Error != want {
+		t.Errorf("oversized line answered %+v, want error %q", resps[1], want)
+	}
+}
+
+func TestReadLineLimit(t *testing.T) {
+	br := bufio.NewReaderSize(strings.NewReader("abcd\r\nabcde\n\nab"), 16)
+	for _, want := range []struct {
+		line    string
+		tooLong bool
+		err     error
+	}{
+		{"abcd", false, nil}, // at the limit, CRLF trimmed
+		{"", true, nil},      // one byte over
+		{"", false, nil},     // empty line
+		{"ab", false, io.EOF},
+	} {
+		line, tooLong, err := readLine(br, 4)
+		if string(line) != want.line || tooLong != want.tooLong || err != want.err {
+			t.Errorf("readLine = %q, %t, %v; want %q, %t, %v", line, tooLong, err, want.line, want.tooLong, want.err)
+		}
+	}
+	// A line longer than the read buffer is reassembled from its chunks.
+	long := strings.Repeat("x", 40)
+	line, tooLong, err := readLine(bufio.NewReaderSize(strings.NewReader(long+"\n"), 16), 50)
+	if string(line) != long || tooLong || err != nil {
+		t.Errorf("multi-chunk readLine = %q, %t, %v", line, tooLong, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -193,26 +194,32 @@ func (p *PatchitPy) Serve(r io.Reader, w io.Writer) error {
 // blocked on a read; the goroutine itself exits on the next line or EOF.
 func (p *PatchitPy) ServeContext(ctx context.Context, r io.Reader, w io.Writer) error {
 	type lineMsg struct {
-		line []byte
-		err  error
+		line    []byte
+		tooLong bool
+		err     error
 	}
 	lines := make(chan lineMsg)
 	go func() {
 		defer close(lines)
-		scanner := bufio.NewScanner(r)
-		scanner.Buffer(make([]byte, 0, 64*1024), MaxRequestBytes)
-		for scanner.Scan() {
-			line := append([]byte(nil), scanner.Bytes()...)
-			select {
-			case lines <- lineMsg{line: line}:
-			case <-ctx.Done():
+		br := bufio.NewReaderSize(r, 64*1024)
+		for {
+			line, tooLong, err := readLine(br, MaxRequestBytes)
+			if err != nil && err != io.EOF {
+				select {
+				case lines <- lineMsg{err: err}:
+				case <-ctx.Done():
+				}
 				return
 			}
-		}
-		if err := scanner.Err(); err != nil {
-			select {
-			case lines <- lineMsg{err: err}:
-			case <-ctx.Done():
+			if len(line) > 0 || tooLong {
+				select {
+				case lines <- lineMsg{line: line, tooLong: tooLong}:
+				case <-ctx.Done():
+					return
+				}
+			}
+			if err == io.EOF {
+				return
 			}
 		}
 	}()
@@ -232,6 +239,18 @@ func (p *PatchitPy) ServeContext(ctx context.Context, r io.Reader, w io.Writer) 
 			}
 			if msg.err != nil {
 				return msg.err
+			}
+			if msg.tooLong {
+				// The same answer HTTP gives with its 413; the session
+				// resumes at the next line.
+				tooLarge := fmt.Sprintf("request body exceeds %d bytes", MaxRequestBytes)
+				if p.logger != nil {
+					p.logger.Warn("bad request", "transport", "stdio", "error", tooLarge)
+				}
+				if err := enc.Encode(Response{OK: false, Error: tooLarge}); err != nil {
+					return fmt.Errorf("write response: %w", err)
+				}
+				continue
 			}
 			if len(msg.line) == 0 {
 				continue
@@ -272,6 +291,33 @@ func (p *PatchitPy) ServeContext(ctx context.Context, r io.Reader, w io.Writer) 
 			}
 		}
 	}
+}
+
+// readLine reads one line and returns it without its "\n" or "\r\n"
+// ending. A line longer than limit is read through its newline without
+// being kept, and reported as tooLong. At end of input it returns the
+// unterminated last line, if any, with io.EOF.
+func readLine(br *bufio.Reader, limit int) (line []byte, tooLong bool, err error) {
+	for {
+		var chunk []byte
+		chunk, err = br.ReadSlice('\n')
+		if !tooLong {
+			line = append(line, chunk...)
+			// The 2 spare bytes leave room for the line ending.
+			if len(line) > limit+2 {
+				line, tooLong = nil, true
+			}
+		}
+		if err != bufio.ErrBufferFull {
+			break
+		}
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	line = bytes.TrimSuffix(line, []byte("\r"))
+	if len(line) > limit {
+		line, tooLong = nil, true
+	}
+	return line, tooLong, err
 }
 
 // Handle dispatches one protocol request and returns its response — the

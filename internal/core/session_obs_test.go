@@ -104,7 +104,7 @@ func TestServeMetricsVerb(t *testing.T) {
 	}
 
 	// Serve requests leave traces in the ring (newest first).
-	traces := reg.Traces()
+	traces := reg.TraceBuckets().Recent
 	if len(traces) == 0 {
 		t.Fatal("no traces recorded for serve requests")
 	}
@@ -132,7 +132,7 @@ func TestServeObsDisabledIdentical(t *testing.T) {
 	if got := reg.Snapshot().Counters[obs.MetricServeRequests+`{cmd="detect"}`]; got != 0 {
 		t.Errorf("disabled registry counted %g serve requests", got)
 	}
-	if got := len(reg.Traces()); got != 0 {
+	if got := len(reg.TraceBuckets().Recent); got != 0 {
 		t.Errorf("disabled registry recorded %d traces", got)
 	}
 }

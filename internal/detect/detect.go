@@ -9,8 +9,9 @@
 // Prepared artifact (comment mask, line index, candidate bitset — each
 // computed at most once per source and shared by all rules), and a
 // content-addressed result cache that makes repeated scans of identical
-// sources a hash lookup. ScanAll fans a batch of sources across a bounded
-// worker pool with deterministic, input-ordered results.
+// sources a hash lookup. A Detector is safe for concurrent use: callers
+// that scan a batch fan it across their own worker pool (workpool.Run)
+// and share one Detector, and so its cache.
 package detect
 
 import (
@@ -283,9 +284,6 @@ type Options struct {
 	// NoCache bypasses the scan result cache for this scan: the result is
 	// neither looked up nor stored. Results are identical either way.
 	NoCache bool
-	// Concurrency bounds the ScanAll worker pool (<= 0 = GOMAXPROCS). It
-	// has no effect on single-source scans.
-	Concurrency int
 }
 
 // optionSets is an Options normalized for per-rule testing: the slice
@@ -336,8 +334,7 @@ func (s optionSets) admits(r *rules.Rule) bool {
 
 // fingerprint canonically serializes the result-affecting fields: two
 // Options with the same fingerprint admit the same rules and take the same
-// scan path. Concurrency and NoCache are excluded — they never change
-// results. NoPrefilter is included even though results are provably
+// scan path. NoCache is excluded — it never changes results. NoPrefilter is included even though results are provably
 // identical either way, so cross-check scans always do real work instead
 // of reading what the prefiltered scan cached.
 func (o Options) fingerprint() string {

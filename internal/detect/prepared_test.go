@@ -2,13 +2,16 @@ package detect
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/dessertlab/patchitpy/internal/generator"
 	"github.com/dessertlab/patchitpy/internal/obs"
 	"github.com/dessertlab/patchitpy/internal/prompts"
+	"github.com/dessertlab/patchitpy/internal/workpool"
 )
 
 func TestScanPreparedMatchesScanWith(t *testing.T) {
@@ -100,38 +103,77 @@ func TestScanCacheMutationFresh(t *testing.T) {
 	}
 }
 
-// TestScanAllCachedMatchesUncached asserts the cached, automaton-
-// prefiltered ScanAll path reproduces the uncached, unfiltered reference
-// byte-for-byte at several concurrency levels — both on a cold cache and
-// on a fully warm one.
+// TestScanAllMatchesScan is the determinism property test for batch
+// scans: over a shuffled corpus scanned by goroutines sharing one
+// Detector, every input gets exactly what a sequential per-sample Scan
+// returns — same order, same spans, same rules — at every worker count.
+func TestScanAllMatchesScan(t *testing.T) {
+	samples, err := generator.Corpus(prompts.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]string, len(samples))
+	for i, s := range samples {
+		codes[i] = s.Code
+	}
+	rng := rand.New(rand.NewSource(42))
+	rng.Shuffle(len(codes), func(i, j int) { codes[i], codes[j] = codes[j], codes[i] })
+
+	d := New(nil)
+	want := make([][]Finding, len(codes))
+	for i, c := range codes {
+		want[i] = d.Scan(c)
+	}
+	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+		got := make([][]Finding, len(codes))
+		err := workpool.Run(context.Background(), len(codes), workers, func(i int) {
+			got[i] = d.Scan(codes[i])
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		for i := range codes {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%d workers: findings for sample %d diverge from sequential Scan", workers, i)
+			}
+		}
+	}
+}
+
+// TestScanAllCachedMatchesUncached asserts that goroutines sharing
+// one Detector — and so its scan cache, as serve's concurrent requests
+// do — reproduce the uncached, unfiltered reference byte-for-byte, both
+// on a cold cache and on a fully warm one. Run it under -race: the
+// goroutines race each other into the cache for the same keys.
 func TestScanAllCachedMatchesUncached(t *testing.T) {
 	samples, err := generator.Corpus(prompts.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := make([]Source, len(samples))
-	for i, s := range samples {
-		srcs[i] = Source{Name: s.PromptID + "/" + s.Model, Code: s.Code}
-	}
 	ref := New(nil)
-	want, err := ref.ScanAll(context.Background(), srcs, Options{NoPrefilter: true, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
+	want := make([][]Finding, len(samples))
+	for i, s := range samples {
+		want[i] = ref.ScanWith(s.Code, Options{NoPrefilter: true, NoCache: true})
 	}
-	d := New(nil)
 	for _, workers := range []int{1, 4, 8} {
+		d := New(nil)
 		for pass := 0; pass < 2; pass++ { // pass 0 cold, pass 1 warm
-			got, err := d.ScanAll(context.Background(), srcs, Options{Concurrency: workers})
+			got := make([][]Finding, len(samples))
+			err := workpool.Run(context.Background(), len(samples), workers, func(i int) {
+				got[i] = d.ScanWith(samples[i].Code, Options{})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("concurrency %d pass %d: cached ScanAll diverges", workers, pass)
+			for i := range samples {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%d goroutines pass %d: cached scan of sample %d diverges", workers, pass, i)
+				}
 			}
 		}
-	}
-	if st := d.CacheStats(); st.Hits == 0 {
-		t.Errorf("warm passes recorded no cache hits: %+v", st)
+		if st := d.CacheStats(); st.Hits < uint64(len(samples)) {
+			t.Errorf("%d goroutines: warm pass recorded %d cache hits for %d sources", workers, st.Hits, len(samples))
+		}
 	}
 }
 

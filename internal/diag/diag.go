@@ -133,22 +133,6 @@ type Result struct {
 	Patched string `json:"patched,omitempty"`
 }
 
-// SuggestionRate returns the fraction of findings carrying a fix preview
-// or suggestion comment — the per-tool statistic the paper reports for
-// Bandit (~17%) and Semgrep (~19%).
-func SuggestionRate(fs []Finding) float64 {
-	if len(fs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, f := range fs {
-		if f.FixPreview != "" {
-			n++
-		}
-	}
-	return float64(n) / float64(len(fs))
-}
-
 // Analyzer is one diagnostics engine behind the unified model. Analyze
 // must be safe for concurrent use and deterministic for a given source
 // (and, for context-seeded analyzers, a given context).

@@ -30,16 +30,6 @@ func TestSortCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestSuggestionRate(t *testing.T) {
-	if got := SuggestionRate(nil); got != 0 {
-		t.Errorf("empty rate = %v", got)
-	}
-	fs := []Finding{{FixPreview: "x"}, {}, {}, {}}
-	if got := SuggestionRate(fs); got != 0.25 {
-		t.Errorf("rate = %v, want 0.25", got)
-	}
-}
-
 // stub is a minimal Analyzer for registry tests.
 type stub struct {
 	name    string

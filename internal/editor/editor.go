@@ -38,9 +38,9 @@ type WorkspaceEdit struct {
 
 // PosMapper converts between byte offsets and Positions of one document
 // through a shared line index: build it once, then every conversion is
-// O(log lines). The package-level OffsetToPosition/PositionToOffset build
-// a throwaway index per call (O(n)); anything converting more than one
-// position of the same document should use a PosMapper — the old
+// O(log lines). The package-level OffsetToPosition builds a throwaway
+// index per call (O(n)); anything converting more than one position of
+// the same document should use a PosMapper — the old
 // strings.Count/IndexByte loops made such callers quadratic.
 type PosMapper struct {
 	src string
@@ -101,13 +101,6 @@ func (m PosMapper) Resolve(r Range) (start, end int) {
 // OffsetToPosition converts a byte offset in src to a Position.
 func OffsetToPosition(src string, offset int) Position {
 	return NewPosMapper(src).OffsetToPosition(offset)
-}
-
-// PositionToOffset converts a Position to a byte offset in src. Positions
-// past the end of a line clamp to the line end; lines past the end clamp to
-// len(src).
-func PositionToOffset(src string, pos Position) int {
-	return NewPosMapper(src).PositionToOffset(pos)
 }
 
 // SpanEdit builds a TextEdit replacing src[start:end] with newText.

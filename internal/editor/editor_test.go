@@ -39,7 +39,7 @@ func TestPositionToOffset(t *testing.T) {
 		{Position{99, 0}, len(sample)},
 	}
 	for _, tc := range cases {
-		if got := PositionToOffset(sample, tc.pos); got != tc.want {
+		if got := NewPosMapper(sample).PositionToOffset(tc.pos); got != tc.want {
 			t.Errorf("PositionToOffset(%+v) = %d, want %d", tc.pos, got, tc.want)
 		}
 	}
@@ -49,7 +49,7 @@ func TestRoundTripOffsets(t *testing.T) {
 	f := func(src string, rawOffset uint16) bool {
 		offset := int(rawOffset) % (len(src) + 1)
 		pos := OffsetToPosition(src, offset)
-		back := PositionToOffset(src, pos)
+		back := NewPosMapper(src).PositionToOffset(pos)
 		return back == offset
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

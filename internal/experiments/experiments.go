@@ -133,12 +133,6 @@ type RunOptions struct {
 	Obs *obs.Registry
 }
 
-// Run executes the full evaluation at default concurrency. It is
-// deterministic.
-func Run() (*Results, error) {
-	return RunContext(context.Background(), RunOptions{})
-}
-
 // toolkit bundles the evaluated tools. All of them are safe for
 // concurrent use after construction. The named fields remain for the
 // sequential reference implementation; the parallel harness iterates the

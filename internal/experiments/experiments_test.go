@@ -22,7 +22,7 @@ var (
 
 func results(t *testing.T) *Results {
 	t.Helper()
-	runOnce.Do(func() { shared, runErr = Run() })
+	runOnce.Do(func() { shared, runErr = RunContext(context.Background(), RunOptions{}) })
 	if runErr != nil {
 		t.Fatalf("Run: %v", runErr)
 	}
@@ -280,7 +280,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run()
+	a, err := RunContext(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

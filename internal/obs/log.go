@@ -198,22 +198,3 @@ func (h *samplingHandler) handleWith(ctx context.Context, r slog.Record, next sl
 	}
 	return next.Handle(ctx, r)
 }
-
-// ctxLoggerKey carries a logger in a context.
-type ctxLoggerKey struct{}
-
-// WithLogger returns a context carrying l, making it visible to
-// LoggerFrom in layers without an explicit logger parameter
-// (workpool.Run).
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	if l == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxLoggerKey{}, l)
-}
-
-// LoggerFrom returns the logger carried by ctx, or nil.
-func LoggerFrom(ctx context.Context) *slog.Logger {
-	l, _ := ctx.Value(ctxLoggerKey{}).(*slog.Logger)
-	return l
-}

@@ -103,24 +103,13 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		families: map[string]*family{},
-		tracer:   newTracer(DefaultTraceCapacity),
+		tracer:   newTracer(),
 	}
 }
-
-// std is the process-global default registry.
-var std = NewRegistry()
-
-// Default returns the process-global registry. Components accept an
-// injected *Registry; Default exists for frontends that want one shared
-// sink without plumbing.
-func Default() *Registry { return std }
 
 // Enable turns recording on: Enabled() reports true and instrumentation
 // sites start paying for clocks and atomics.
 func (r *Registry) Enable() { r.enabled.Store(true) }
-
-// Disable turns recording back off. Accumulated values are retained.
-func (r *Registry) Disable() { r.enabled.Store(false) }
 
 // Enabled reports whether instrumentation sites should record. It is
 // safe to call on a nil registry (reports false), so callers can gate on

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -123,7 +124,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	if reg.Enabled() {
 		t.Error("nil registry reports enabled")
 	}
-	if reg.Traces() != nil {
+	if tb := reg.TraceBuckets(); len(tb.Recent)+len(tb.Slow)+len(tb.Errors) != 0 {
 		t.Error("nil registry returns traces")
 	}
 	if got := From(context.Background()); got != nil {
@@ -234,7 +235,7 @@ func TestSpanNesting(t *testing.T) {
 	sibling.End()
 	root.End()
 
-	traces := reg.Traces()
+	traces := reg.TraceBuckets().Recent
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -261,7 +262,7 @@ func TestSpanDisabled(t *testing.T) {
 		t.Error("disabled registry started a span")
 	}
 	sp.End() // nil-safe
-	if got := reg.Traces(); len(got) != 0 {
+	if got := reg.TraceBuckets().Recent; len(got) != 0 {
 		t.Errorf("disabled registry recorded %d traces", len(got))
 	}
 	// No registry at all: also a no-op.
@@ -273,17 +274,17 @@ func TestSpanDisabled(t *testing.T) {
 func TestTraceRingEviction(t *testing.T) {
 	reg := NewRegistry()
 	reg.Enable()
-	reg.SetTraceCapacity(2)
 	ctx := With(context.Background(), reg)
-	for _, name := range []string{"one", "two", "three"} {
-		_, sp := Start(ctx, name)
+	for i := 0; i <= DefaultTraceCapacity; i++ {
+		_, sp := Start(ctx, fmt.Sprintf("t%d", i))
 		sp.End()
 	}
-	traces := reg.Traces()
-	if len(traces) != 2 {
-		t.Fatalf("got %d traces, want capacity 2", len(traces))
+	traces := reg.TraceBuckets().Recent
+	if len(traces) != DefaultTraceCapacity {
+		t.Fatalf("got %d traces, want capacity %d", len(traces), DefaultTraceCapacity)
 	}
-	if traces[0].Name != "three" || traces[1].Name != "two" {
-		t.Errorf("retained = %q, %q; want newest-first three, two", traces[0].Name, traces[1].Name)
+	newest, oldest := fmt.Sprintf("t%d", DefaultTraceCapacity), "t1"
+	if traces[0].Name != newest || traces[len(traces)-1].Name != oldest {
+		t.Errorf("retained %q..%q; want newest-first %s..%s", traces[0].Name, traces[len(traces)-1].Name, newest, oldest)
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
+import "io"
 
 // OpenMetricsContentType is the content type for the OpenMetrics 1.0
 // text exposition written by WriteOpenMetrics.
@@ -22,95 +18,5 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // is what links a latency bucket on a dashboard back to a retained
 // trace.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	for _, f := range r.sortedFamilies() {
-		famName := f.name
-		if f.kind == KindCounter {
-			// OpenMetrics names the family without _total; the sample
-			// keeps the suffix.
-			famName = strings.TrimSuffix(f.name, "_total")
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", famName, f.kind); err != nil {
-			return err
-		}
-		var err error
-		switch f.kind {
-		case KindCounter, KindGauge:
-			if f.label == "" {
-				var v float64
-				switch {
-				case f.fn != nil:
-					v = f.fn()
-				case f.counter != nil:
-					v = float64(f.counter.Value())
-				case f.gauge != nil:
-					v = float64(f.gauge.Value())
-				}
-				_, err = fmt.Fprintf(w, "%s %s\n", f.name, fmtFloat(f.scaled(v)))
-			} else {
-				for _, c := range f.sortedChildren() {
-					if _, err = fmt.Fprintf(w, "%s %s\n",
-						labelKey(f.name, f.label, c.value), fmtFloat(f.scaled(instValue(c.inst)))); err != nil {
-						break
-					}
-				}
-			}
-		case KindHistogram:
-			if f.label == "" {
-				err = writeOpenMetricsHistogram(w, f.name, "", "", f.hist)
-			} else {
-				for _, c := range f.sortedChildren() {
-					if err = writeOpenMetricsHistogram(w, f.name, f.label, c.value, c.inst.(*Histogram)); err != nil {
-						break
-					}
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
-}
-
-// writeOpenMetricsHistogram emits one histogram's _bucket/_sum/_count
-// series with per-bucket exemplars where recorded.
-func writeOpenMetricsHistogram(w io.Writer, name, label, value string, h *Histogram) error {
-	pre := ""
-	if label != "" {
-		pre = label + `="` + value + `",`
-	}
-	var cum uint64
-	emit := func(le string, i int) error {
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d", name, pre, le, cum); err != nil {
-			return err
-		}
-		if ex := h.exemplarAt(i); ex != nil {
-			if _, err := fmt.Fprintf(w, " # {trace_id=%q} %s %.3f",
-				ex.TraceID, fmtFloat(ex.Value), float64(ex.Time.UnixMilli())/1000); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if err := emit(fmtFloat(b), i); err != nil {
-			return err
-		}
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	if err := emit("+Inf", len(h.bounds)); err != nil {
-		return err
-	}
-	suffix := ""
-	if label != "" {
-		suffix = `{` + label + `="` + value + `"}`
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, fmtFloat(h.Sum())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, cum)
-	return err
+	return r.writeExposition(w, true)
 }

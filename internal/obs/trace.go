@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// DefaultTraceCapacity is the recent-trace ring size a new registry
-// starts with: enough recent traces to inspect a burst of serve
-// requests, small enough to never matter for memory.
+// DefaultTraceCapacity is the recent-trace ring size: enough recent
+// traces to inspect a burst of serve requests, small enough to never
+// matter for memory.
 const DefaultTraceCapacity = 64
 
 // DefaultSlowTraceCapacity and DefaultErrorTraceCapacity size the
@@ -76,9 +76,6 @@ type traceRing struct {
 }
 
 func newTraceRing(capacity int) traceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return traceRing{ring: make([]SpanData, capacity)}
 }
 
@@ -99,43 +96,24 @@ func (t *traceRing) newestFirst() []SpanData {
 	return out
 }
 
-// resize rebuilds the ring with the given capacity, carrying over the
-// newest traces that fit.
-func (t *traceRing) resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	keep := t.newestFirst()
-	if len(keep) > capacity {
-		keep = keep[:capacity]
-	}
-	*t = newTraceRing(capacity)
-	// Re-push oldest first so newestFirst() order is preserved.
-	for i := len(keep) - 1; i >= 0; i-- {
-		t.push(keep[i])
-	}
-}
-
 // Tracer retains finished root traces in three bounded rings: every
 // recent trace, plus dedicated tail-retention rings for slow traces
-// (root duration at or above the threshold) and traces containing an
-// errored span — so the interesting outliers survive high-volume fast
-// traffic that would otherwise evict them within seconds.
+// (root duration at or above DefaultSlowTraceThreshold) and traces
+// containing an errored span — so the interesting outliers survive
+// high-volume fast traffic that would otherwise evict them within
+// seconds.
 type Tracer struct {
 	mu     sync.Mutex
 	recent traceRing
 	slow   traceRing
 	errs   traceRing
-
-	slowThreshold time.Duration
 }
 
-func newTracer(capacity int) *Tracer {
+func newTracer() *Tracer {
 	return &Tracer{
-		recent:        newTraceRing(capacity),
-		slow:          newTraceRing(DefaultSlowTraceCapacity),
-		errs:          newTraceRing(DefaultErrorTraceCapacity),
-		slowThreshold: DefaultSlowTraceThreshold,
+		recent: newTraceRing(DefaultTraceCapacity),
+		slow:   newTraceRing(DefaultSlowTraceCapacity),
+		errs:   newTraceRing(DefaultErrorTraceCapacity),
 	}
 }
 
@@ -145,7 +123,7 @@ func (t *Tracer) record(sd SpanData) {
 	hasErr := sd.hasError()
 	t.mu.Lock()
 	t.recent.push(sd)
-	if t.slowThreshold > 0 && sd.DurationMS >= float64(t.slowThreshold)/float64(time.Millisecond) {
+	if sd.DurationMS >= float64(DefaultSlowTraceThreshold)/float64(time.Millisecond) {
 		t.slow.push(sd)
 	}
 	if hasErr {
@@ -154,27 +132,12 @@ func (t *Tracer) record(sd SpanData) {
 	t.mu.Unlock()
 }
 
-// Recent returns the retained recent traces, newest first.
-func (t *Tracer) Recent() []SpanData {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.recent.newestFirst()
-}
-
 // TraceBuckets is the full retained-trace export: the recent ring plus
 // the slow and error tail-retention rings, each newest first.
 type TraceBuckets struct {
 	Recent []SpanData `json:"recent"`
 	Slow   []SpanData `json:"slow"`
 	Errors []SpanData `json:"errors"`
-}
-
-// Traces returns the registry's retained recent traces, newest first.
-func (r *Registry) Traces() []SpanData {
-	if r == nil || r.tracer == nil {
-		return nil
-	}
-	return r.tracer.Recent()
 }
 
 // TraceBuckets returns all retained traces: recent, slow, and error
@@ -192,32 +155,6 @@ func (r *Registry) TraceBuckets() TraceBuckets {
 	tb.Slow = t.slow.newestFirst()
 	tb.Errors = t.errs.newestFirst()
 	return tb
-}
-
-// SetTraceCapacity resizes the recent-trace ring in place, carrying
-// over the newest retained traces that fit. Live spans keep recording
-// into the same tracer; the slow and error rings are unaffected.
-func (r *Registry) SetTraceCapacity(n int) {
-	if r == nil || r.tracer == nil {
-		return
-	}
-	t := r.tracer
-	t.mu.Lock()
-	t.recent.resize(n)
-	t.mu.Unlock()
-}
-
-// SetSlowTraceThreshold sets the root-span duration at or above which a
-// finished trace is retained in the slow ring. Zero or negative
-// disables slow retention.
-func (r *Registry) SetSlowTraceThreshold(d time.Duration) {
-	if r == nil || r.tracer == nil {
-		return
-	}
-	t := r.tracer
-	t.mu.Lock()
-	t.slowThreshold = d
-	t.mu.Unlock()
 }
 
 // traceState is the per-trace identity and accounting shared by every

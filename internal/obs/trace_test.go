@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -56,7 +55,7 @@ func TestRootSpanAdoptsIngestedTraceID(t *testing.T) {
 	}
 	child.End()
 	sp.End()
-	traces := reg.Traces()
+	traces := reg.TraceBuckets().Recent
 	if len(traces) != 1 || traces[0].TraceID != want.String() {
 		t.Fatalf("recorded trace ID = %+v, want %s", traces, want)
 	}
@@ -103,75 +102,21 @@ func TestSpanAttrsAndError(t *testing.T) {
 func TestSlowTraceRetention(t *testing.T) {
 	reg := NewRegistry()
 	reg.Enable()
-	reg.SetSlowTraceThreshold(time.Nanosecond) // everything is slow
 	_, sp := Start(With(context.Background(), reg), "slow-req")
-	time.Sleep(time.Millisecond)
+	// Backdate the root instead of sleeping past the threshold.
+	sp.start = sp.start.Add(-DefaultSlowTraceThreshold)
 	sp.End()
 	tb := reg.TraceBuckets()
 	if len(tb.Slow) != 1 || tb.Slow[0].Name != "slow-req" {
 		t.Fatalf("slow ring = %+v, want the slow trace", tb.Slow)
 	}
 
-	// Raising the threshold stops retention.
-	reg.SetSlowTraceThreshold(time.Hour)
+	// A trace under the threshold is not retained as slow.
 	_, sp = Start(With(context.Background(), reg), "fast-req")
 	sp.End()
 	if tb := reg.TraceBuckets(); len(tb.Slow) != 1 {
 		t.Fatalf("slow ring grew for a fast trace: %+v", tb.Slow)
 	}
-}
-
-// TestSetTraceCapacityPreservesNewest is the regression test for the
-// resize bug: shrinking or growing the ring used to discard every
-// retained trace (and orphan live spans holding the old tracer).
-func TestSetTraceCapacityPreservesNewest(t *testing.T) {
-	reg := NewRegistry()
-	reg.Enable()
-	record := func(name string) {
-		_, sp := Start(With(context.Background(), reg), name)
-		sp.End()
-	}
-	for i := 0; i < 5; i++ {
-		record(fmt.Sprintf("t%d", i))
-	}
-
-	// A span started before the resize must still record afterwards.
-	liveCtx, live := Start(With(context.Background(), reg), "live")
-	_ = liveCtx
-
-	reg.SetTraceCapacity(3)
-	got := reg.Traces()
-	if len(got) != 3 {
-		t.Fatalf("after shrink: %d traces, want 3", len(got))
-	}
-	for i, want := range []string{"t4", "t3", "t2"} {
-		if got[i].Name != want {
-			t.Errorf("after shrink [%d] = %s, want %s (newest first)", i, got[i].Name, want)
-		}
-	}
-
-	reg.SetTraceCapacity(10)
-	got = reg.Traces()
-	if len(got) != 3 {
-		t.Fatalf("after grow: %d traces, want the 3 carried over", len(got))
-	}
-	if got[0].Name != "t4" {
-		t.Errorf("after grow newest = %s, want t4", got[0].Name)
-	}
-
-	live.End()
-	got = reg.Traces()
-	if len(got) != 4 || got[0].Name != "live" {
-		t.Fatalf("live span lost across resize: %+v", names(got))
-	}
-}
-
-func names(sds []SpanData) []string {
-	out := make([]string, len(sds))
-	for i, sd := range sds {
-		out[i] = sd.Name
-	}
-	return out
 }
 
 func TestSpanTreeBounds(t *testing.T) {
@@ -192,7 +137,7 @@ func TestSpanTreeBounds(t *testing.T) {
 		c.End()
 	}
 	root.End()
-	sd := reg.Traces()[0]
+	sd := reg.TraceBuckets().Recent[0]
 	if len(sd.Children) != MaxChildrenPerSpan {
 		t.Errorf("children = %d, want %d", len(sd.Children), MaxChildrenPerSpan)
 	}
@@ -224,7 +169,7 @@ func TestSpanTreeBounds(t *testing.T) {
 	if total != MaxSpansPerTrace {
 		t.Errorf("spans created = %d, want exactly %d", total, MaxSpansPerTrace)
 	}
-	if count := countSpans(reg.Traces()[0]); count != MaxSpansPerTrace {
+	if count := countSpans(reg.TraceBuckets().Recent[0]); count != MaxSpansPerTrace {
 		t.Errorf("recorded spans = %d, want %d", count, MaxSpansPerTrace)
 	}
 }
@@ -245,7 +190,7 @@ func TestRecordChild(t *testing.T) {
 	c := root.RecordChild("queue-wait", start, start.Add(40*time.Millisecond))
 	c.SetAttr("depth", 7)
 	root.End()
-	sd := reg.Traces()[0]
+	sd := reg.TraceBuckets().Recent[0]
 	if len(sd.Children) != 1 || sd.Children[0].Name != "queue-wait" {
 		t.Fatalf("children = %+v", sd.Children)
 	}
@@ -268,9 +213,9 @@ func TestRecordChild(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracing hammers Start/End/SetAttr/Traces/TraceBuckets/
-// SetTraceCapacity from many goroutines; the -race CI pass turns any
-// unsynchronized access into a failure.
+// TestConcurrentTracing hammers Start/End/SetAttr/TraceBuckets from many
+// goroutines; the -race CI pass turns any unsynchronized access into a
+// failure.
 func TestConcurrentTracing(t *testing.T) {
 	reg := NewRegistry()
 	reg.Enable()
@@ -302,24 +247,20 @@ func TestConcurrentTracing(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			_ = reg.Traces()
 			_ = reg.TraceBuckets()
-			reg.SetTraceCapacity(16 + i%32)
-			reg.SetSlowTraceThreshold(time.Duration(i%5) * time.Millisecond)
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	reg.SetSlowTraceThreshold(DefaultSlowTraceThreshold)
 
-	if got := reg.Traces(); len(got) == 0 {
+	if got := reg.TraceBuckets().Recent; len(got) == 0 {
 		t.Fatal("no traces retained after concurrent hammer")
 	}
 	if tb := reg.TraceBuckets(); len(tb.Errors) == 0 {

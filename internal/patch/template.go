@@ -3,27 +3,13 @@ package patch
 import (
 	"regexp"
 	"strconv"
-
-	"github.com/dessertlab/patchitpy/internal/rules"
 )
 
 // This file exposes the fix-template surface the catalog vetting engine
-// (internal/rulecheck) inspects: template enumeration and the
-// capture-group references a template expands, so a template referencing
-// a group its pattern does not capture is detectable statically instead
-// of silently expanding to the empty string at patch time.
-
-// Fixable enumerates the catalog's fix-bearing rules in catalog (ID)
-// order — the template set the paper's Table III repair rates rest on.
-func Fixable(c *rules.Catalog) []*rules.Rule {
-	var out []*rules.Rule
-	for _, r := range c.Rules() {
-		if r.HasFix() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+// (internal/rulecheck) inspects: the capture-group references a template
+// expands, so a template referencing a group its pattern does not capture
+// is detectable statically instead of silently expanding to the empty
+// string at patch time.
 
 // groupRefRe matches the $n and ${n} capture references of
 // regexp.Regexp.Expand syntax. $$ escapes are not part of the template

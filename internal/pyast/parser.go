@@ -21,22 +21,16 @@ func Parse(src string) (*Module, error) {
 	return p.parseModule(), nil
 }
 
-// MustParse parses src and ignores recovered errors. It is a convenience
-// for tests and examples working with known-good sources.
-func MustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		return &Module{Errors: []*ParseError{{Msg: err.Error()}}}
-	}
-	return m
-}
-
 type parser struct {
 	toks []pytoken.Token
 	pos  int
 	mod  *Module
 	// depth counts the brackets open around the current position.
 	depth int
+	// chain counts the right-recursive productions open around the
+	// current position: unary operators, not, await, **, lambda, yield,
+	// starred targets, and the else and elif chains.
+	chain int
 }
 
 // maxNesting bounds bracket nesting at CPython's own limit (the
@@ -44,6 +38,12 @@ type parser struct {
 // costs a dozen recursive calls, and an unbounded one lets a few hundred
 // KB of "(" overflow the goroutine stack, which no recover can catch.
 const maxNesting = 200
+
+// maxChain bounds the right-recursive productions at CPython's parser
+// stack limit (MAXSTACK). CPython spends several rule levels on each
+// operator, so no Python it parses is rejected; unbounded, a couple of MB
+// of "-" overflow the goroutine stack.
+const maxChain = 6000
 
 // bailout carries a recovered syntax error up to the statement loop.
 // Panic/recover is used strictly as internal control flow within this
@@ -65,6 +65,18 @@ func (p *parser) openBracket() {
 }
 
 func (p *parser) closeBracket() { p.depth-- }
+
+// enterChain counts one more right-recursive production, failing the
+// statement beyond maxChain; leaveChain undoes it. parseStatementRecover
+// resets the count of a failed statement.
+func (p *parser) enterChain() {
+	p.chain++
+	if p.chain > maxChain {
+		p.errorf("expression nested too deeply (limit %d)", maxChain)
+	}
+}
+
+func (p *parser) leaveChain() { p.chain-- }
 
 func (p *parser) peek() pytoken.Token { return p.toks[p.pos] }
 
@@ -129,7 +141,7 @@ func (p *parser) parseModule() *Module {
 // BadStmt plus a recorded error and resynchronizing at the next logical
 // line.
 func (p *parser) parseStatementRecover() (stmts []Stmt) {
-	start, depth := p.pos, p.depth
+	start, depth, chain := p.pos, p.depth, p.chain
 	defer func() {
 		if r := recover(); r != nil {
 			b, ok := r.(bailout)
@@ -137,7 +149,7 @@ func (p *parser) parseStatementRecover() (stmts []Stmt) {
 				panic(r)
 			}
 			p.mod.Errors = append(p.mod.Errors, b.err)
-			p.depth = depth
+			p.depth, p.chain = depth, chain
 			// resync: skip to after the next NEWLINE
 			if p.pos == start {
 				p.next()
@@ -251,7 +263,9 @@ func (p *parser) parseIf() Stmt {
 	case p.at(pytoken.KindKeyword, "elif"):
 		elifPos := p.peek().Pos
 		p.toks[p.pos].Text = "if" // rewrite elif -> nested if
+		p.enterChain()
 		nested := p.parseIf()
+		p.leaveChain()
 		if n, ok := nested.(*If); ok {
 			n.Position = elifPos
 		}
@@ -642,6 +656,8 @@ func (p *parser) parseExprStatement() Stmt {
 func (p *parser) parseYield() Expr {
 	pos := p.expect(pytoken.KindKeyword, "yield").Pos
 	node := &Yield{Position: pos}
+	p.enterChain()
+	defer p.leaveChain()
 	if p.accept(pytoken.KindKeyword, "from") {
 		node.From = true
 		node.Value = p.parseTest()
@@ -673,7 +689,10 @@ func (p *parser) parseTargetList() Expr {
 func (p *parser) parseTarget() Expr {
 	if p.at(pytoken.KindOp, "*") {
 		pos := p.next().Pos
-		return &Starred{Value: p.parseTarget(), Position: pos}
+		p.enterChain()
+		value := p.parseTarget()
+		p.leaveChain()
+		return &Starred{Value: value, Position: pos}
 	}
 	return p.parsePrimary()
 }
@@ -740,7 +759,9 @@ func (p *parser) parseTest() Expr {
 		pos := p.next().Pos
 		test := p.parseOrTest()
 		p.expect(pytoken.KindKeyword, "else")
+		p.enterChain()
 		orelse := p.parseTest()
+		p.leaveChain()
 		return &IfExp{Cond: test, Body: cond, Orelse: orelse, Position: pos}
 	}
 	return cond
@@ -748,6 +769,8 @@ func (p *parser) parseTest() Expr {
 
 func (p *parser) parseLambda() Expr {
 	pos := p.expect(pytoken.KindKeyword, "lambda").Pos
+	p.enterChain()
+	defer p.leaveChain()
 	var params []Param
 	if !p.at(pytoken.KindOp, ":") {
 		params = p.parseLambdaParams()
@@ -812,7 +835,10 @@ func (p *parser) parseAndTest() Expr {
 func (p *parser) parseNotTest() Expr {
 	if p.at(pytoken.KindKeyword, "not") {
 		pos := p.next().Pos
-		return &UnaryOp{Op: "not", Operand: p.parseNotTest(), Position: pos}
+		p.enterChain()
+		operand := p.parseNotTest()
+		p.leaveChain()
+		return &UnaryOp{Op: "not", Operand: operand, Position: pos}
 	}
 	return p.parseComparison()
 }
@@ -901,7 +927,10 @@ func (p *parser) parseFactor() Expr {
 	t := p.peek()
 	if t.Kind == pytoken.KindOp && (t.Text == "+" || t.Text == "-" || t.Text == "~") {
 		pos := p.next().Pos
-		return &UnaryOp{Op: t.Text, Operand: p.parseFactor(), Position: pos}
+		p.enterChain()
+		operand := p.parseFactor()
+		p.leaveChain()
+		return &UnaryOp{Op: t.Text, Operand: operand, Position: pos}
 	}
 	return p.parsePower()
 }
@@ -910,7 +939,10 @@ func (p *parser) parsePower() Expr {
 	base := p.parseAwaitPrimary()
 	if p.at(pytoken.KindOp, "**") {
 		pos := p.next().Pos
-		return &BinOp{Left: base, Op: "**", Right: p.parseFactor(), Position: pos}
+		p.enterChain()
+		right := p.parseFactor()
+		p.leaveChain()
+		return &BinOp{Left: base, Op: "**", Right: right, Position: pos}
 	}
 	return base
 }
@@ -918,7 +950,10 @@ func (p *parser) parsePower() Expr {
 func (p *parser) parseAwaitPrimary() Expr {
 	if p.at(pytoken.KindKeyword, "await") {
 		pos := p.next().Pos
-		return &Await{Value: p.parseAwaitPrimary(), Position: pos}
+		p.enterChain()
+		value := p.parseAwaitPrimary()
+		p.leaveChain()
+		return &Await{Value: value, Position: pos}
 	}
 	return p.parsePrimary()
 }

@@ -18,6 +18,16 @@ func parseClean(t *testing.T, src string) *Module {
 	return m
 }
 
+// MustParse parses src, folding a tokenizer failure into the module's
+// recovered errors, so a test can inspect every failure in one place.
+func MustParse(src string) *Module {
+	m, err := Parse(src)
+	if err != nil {
+		return &Module{Errors: []*ParseError{{Msg: err.Error()}}}
+	}
+	return m
+}
+
 func TestParseAssignment(t *testing.T) {
 	m := parseClean(t, "x = 1\n")
 	if len(m.Body) != 1 {

@@ -179,3 +179,47 @@ func TestNestingBound(t *testing.T) {
 		t.Errorf("second statement = %#v, want y = 2", m.Body[1])
 	}
 }
+
+// TestChainBound: each right-recursive production chained up to maxChain
+// deep parses, one level more is a recovered syntax error, and 2 million
+// unary minus signs end in that error instead of a goroutine stack
+// overflow, with the next statement parsed.
+func TestChainBound(t *testing.T) {
+	chains := []struct {
+		name string
+		src  func(n int) string
+	}{
+		{"unary", func(n int) string { return "x = " + strings.Repeat("-", n) + "1\n" }},
+		{"not", func(n int) string { return "x = " + strings.Repeat("not ", n) + "a\n" }},
+		{"await", func(n int) string { return "x = " + strings.Repeat("await ", n) + "a\n" }},
+		{"power", func(n int) string { return "x = " + strings.Repeat("a ** ", n) + "a\n" }},
+		{"else", func(n int) string { return "x = " + strings.Repeat("a if b else ", n) + "c\n" }},
+		{"lambda", func(n int) string { return "x = " + strings.Repeat("lambda: ", n) + "a\n" }},
+		{"yield", func(n int) string { return "x = " + strings.Repeat("yield ", n) + "a\n" }},
+		{"elif", func(n int) string { return "if a:\n    pass\n" + strings.Repeat("elif a:\n    pass\n", n) }},
+		{"star", func(n int) string { return "for " + strings.Repeat("* ", n) + "a in b:\n    pass\n" }},
+	}
+	for _, c := range chains {
+		if m := MustParse(c.src(maxChain)); len(m.Errors) != 0 {
+			t.Errorf("%s chained %d deep: %v", c.name, maxChain, m.Errors)
+		}
+		m := MustParse(c.src(maxChain + 1))
+		if len(m.Errors) != 1 || !strings.Contains(m.Errors[0].Msg, "nested too deeply") {
+			t.Errorf("%s chained %d deep: errors %v, want one chain error", c.name, maxChain+1, m.Errors)
+		}
+	}
+
+	m := MustParse("x = " + strings.Repeat("-", 2_000_000) + "1\ny = 2\n")
+	if len(m.Errors) != 1 || !strings.Contains(m.Errors[0].Msg, "nested too deeply") {
+		t.Fatalf("errors %v, want one chain error", m.Errors)
+	}
+	if len(m.Body) != 2 {
+		t.Fatalf("body has %d statements, want 2", len(m.Body))
+	}
+	if _, ok := m.Body[0].(*BadStmt); !ok {
+		t.Errorf("first statement = %T, want *BadStmt", m.Body[0])
+	}
+	if a, ok := m.Body[1].(*Assign); !ok || a.Targets[0].(*Name).ID != "y" {
+		t.Errorf("second statement = %#v, want y = 2", m.Body[1])
+	}
+}

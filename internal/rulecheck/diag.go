@@ -1,11 +1,6 @@
 package rulecheck
 
-import (
-	"context"
-
-	"github.com/dessertlab/patchitpy/internal/diag"
-	"github.com/dessertlab/patchitpy/internal/rules"
-)
+import "github.com/dessertlab/patchitpy/internal/diag"
 
 // Bridge into the unified diagnostics model: vetting issues become
 // canonical diag.Findings so the existing text/JSONL/SARIF emitters
@@ -32,28 +27,4 @@ func (r *Report) Findings() []diag.Finding {
 	}
 	diag.Sort(out)
 	return out
-}
-
-// Analyzer adapts catalog vetting to the diag.Analyzer interface. It
-// ignores the source argument — the catalog is the program under
-// analysis — and is therefore NOT registered in the default scan
-// registry; the vet subcommand and serve verb construct it explicitly.
-type Analyzer struct {
-	catalog *rules.Catalog
-}
-
-// NewAnalyzer returns a vetting analyzer over c.
-func NewAnalyzer(c *rules.Catalog) *Analyzer { return &Analyzer{catalog: c} }
-
-// Name implements diag.Analyzer.
-func (a *Analyzer) Name() string { return ToolName }
-
-// Analyze implements diag.Analyzer: it vets the catalog and reports the
-// issues as findings. src is ignored.
-func (a *Analyzer) Analyze(ctx context.Context, src string) (diag.Result, error) {
-	_ = ctx
-	_ = src
-	rep := Check(a.catalog)
-	fs := rep.Findings()
-	return diag.Result{Tool: ToolName, Findings: fs, Vulnerable: rep.HasErrors()}, nil
 }

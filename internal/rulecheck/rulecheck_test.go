@@ -1,7 +1,6 @@
 package rulecheck
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -106,22 +105,5 @@ func TestFindingsMapping(t *testing.T) {
 		if f.RuleID == "" || f.Message == "" {
 			t.Fatalf("finding missing check slug or message: %+v", f)
 		}
-	}
-}
-
-func TestAnalyzer(t *testing.T) {
-	a := NewAnalyzer(rules.NewCatalog())
-	if a.Name() != "rulecheck" {
-		t.Fatalf("Name() = %q", a.Name())
-	}
-	res, err := a.Analyze(context.Background(), "ignored")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Vulnerable {
-		t.Error("shipped catalog reported vulnerable (has errors)")
-	}
-	if len(res.Findings) == 0 {
-		t.Error("expected advisory findings from the shipped catalog")
 	}
 }

@@ -334,23 +334,31 @@ func TestCachedBodyCarriesNoTrace(t *testing.T) {
 	}
 }
 
-// TestDeepNestingAnswered sends code nesting brackets 100k deep, which
-// reaches the parser through a taint-filtered detect and through "tools";
-// each request gets an answer and the server keeps serving.
+// TestDeepNestingAnswered sends code nesting brackets 100k deep, and a
+// line of 2 million unary minus signs, after a flow-gated sink so both a
+// taint-filtered detect and "tools" parse them; each request gets an
+// answer and the server keeps serving.
 func TestDeepNestingAnswered(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	code := "x = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "\n"
+	// Tokenizing 2 MB takes seconds under -race; the test is about the
+	// answer, not the default deadline.
+	_, ts, _ := newTestServer(t, Config{Timeout: 5 * time.Minute})
 	next, _ := json.Marshal(core.Request{Code: vulnCode})
-	for _, req := range []core.Request{
-		{Code: code, Taint: true},
-		{Code: code, Tools: []string{"Bandit", "CodeQL"}},
+	for _, deep := range []string{
+		"x = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "\n",
+		"x = " + strings.Repeat("-", 2_000_000) + "1\n",
 	} {
-		body, _ := json.Marshal(req)
-		if status, resp := post(t, ts, "/v1/detect", string(body)); status != http.StatusOK || !resp.OK {
-			t.Errorf("deep nesting (taint=%t tools=%v): status=%d resp=%+v", req.Taint, req.Tools, status, resp)
-		}
-		if status, resp := post(t, ts, "/v1/detect", string(next)); status != http.StatusOK || !resp.Vulnerable {
-			t.Fatalf("detect after deep nesting: status=%d resp=%+v", status, resp)
+		code := "import os\nos.system(cmd)\n" + deep
+		for _, req := range []core.Request{
+			{Code: code, Taint: true},
+			{Code: code, Tools: []string{"Bandit", "CodeQL"}},
+		} {
+			body, _ := json.Marshal(req)
+			if status, resp := post(t, ts, "/v1/detect", string(body)); status != http.StatusOK || !resp.OK {
+				t.Errorf("%.8q… (taint=%t tools=%v): status=%d ok=%t error=%q", deep, req.Taint, req.Tools, status, resp.OK, resp.Error)
+			}
+			if status, resp := post(t, ts, "/v1/detect", string(next)); status != http.StatusOK || !resp.Vulnerable {
+				t.Fatalf("detect after %.8q…: status=%d resp=%+v", deep, status, resp)
+			}
 		}
 	}
 }

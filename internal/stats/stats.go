@@ -23,9 +23,6 @@ type RankSumResult struct {
 	P float64
 }
 
-// Significant reports whether the difference is significant at alpha.
-func (r RankSumResult) Significant(alpha float64) bool { return r.P < alpha }
-
 // RankSum performs the two-sided Wilcoxon rank-sum test on x and y, using
 // the normal approximation with continuity and tie corrections (the same
 // approach as scipy.stats.ranksums/mannwhitneyu for large samples).
@@ -128,18 +125,4 @@ func Median(xs []float64) float64 {
 		return sorted[mid]
 	}
 	return (sorted[mid-1] + sorted[mid]) / 2
-}
-
-// StdDev returns the sample standard deviation; zero for n < 2.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }

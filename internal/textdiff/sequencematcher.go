@@ -58,14 +58,6 @@ func (m *SequenceMatcher) chainB() {
 	}
 }
 
-// SetSeqs replaces both sequences and invalidates cached results.
-func (m *SequenceMatcher) SetSeqs(a, b []string) {
-	m.a, m.b = a, b
-	m.matchingBlocks = nil
-	m.opCodes = nil
-	m.chainB()
-}
-
 // FindLongestMatch finds the longest matching block in a[alo:ahi] and
 // b[blo:bhi], preferring the earliest in a, then earliest in b, on ties —
 // exactly difflib's tie-breaking.
@@ -179,34 +171,4 @@ func (m *SequenceMatcher) GetOpCodes() []OpCode {
 	}
 	m.opCodes = ops
 	return ops
-}
-
-// Ratio returns a similarity measure in [0, 1]: 2*M / T where M is the
-// number of matched elements and T the total length of both sequences.
-func (m *SequenceMatcher) Ratio() float64 {
-	total := len(m.a) + len(m.b)
-	if total == 0 {
-		return 1
-	}
-	matches := 0
-	for _, b := range m.GetMatchingBlocks() {
-		matches += b.Size
-	}
-	return 2 * float64(matches) / float64(total)
-}
-
-// Insertions returns the contiguous runs of b that are inserted or replace
-// material in a — the "additional parts of code" the paper extracts when
-// comparing LCSv against LCSs.
-func Insertions(a, b []string) [][]string {
-	m := NewMatcher(a, b)
-	var out [][]string
-	for _, op := range m.GetOpCodes() {
-		if op.Tag == OpInsert || op.Tag == OpReplace {
-			run := make([]string, op.J2-op.J1)
-			copy(run, b[op.J1:op.J2])
-			out = append(out, run)
-		}
-	}
-	return out
 }

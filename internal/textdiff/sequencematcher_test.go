@@ -17,9 +17,6 @@ func words(s string) []string {
 func TestIdenticalSequences(t *testing.T) {
 	a := words("def f ( ) : return 1")
 	m := NewMatcher(a, a)
-	if r := m.Ratio(); r != 1 {
-		t.Errorf("ratio = %v, want 1", r)
-	}
 	ops := m.GetOpCodes()
 	if len(ops) != 1 || ops[0].Tag != OpEqual {
 		t.Errorf("ops = %+v", ops)
@@ -28,9 +25,6 @@ func TestIdenticalSequences(t *testing.T) {
 
 func TestDisjointSequences(t *testing.T) {
 	m := NewMatcher(words("a b c"), words("x y z"))
-	if r := m.Ratio(); r != 0 {
-		t.Errorf("ratio = %v, want 0", r)
-	}
 	ops := m.GetOpCodes()
 	if len(ops) != 1 || ops[0].Tag != OpReplace {
 		t.Errorf("ops = %+v", ops)
@@ -79,36 +73,24 @@ func TestFindLongestMatch(t *testing.T) {
 
 func TestInsertionsExtractsSafeAdditions(t *testing.T) {
 	// The paper's TABLE I example in miniature: the safe pattern adds
-	// escape( ... ) and changes debug=True to debug=False.
+	// escape( ... ) and changes debug=True to debug=False. The inserted
+	// and replacing runs of the opcodes are the "additional parts of
+	// code" rule mining extracts.
 	vuln := words("return f < p > { var0 } < / p > debug = True")
 	safe := words("return f < p > { escape ( var0 ) } < / p > debug = False")
-	runs := Insertions(vuln, safe)
-	flat := strings.Join(flatten(runs), " ")
+	var added []string
+	for _, op := range NewMatcher(vuln, safe).GetOpCodes() {
+		if op.Tag == OpInsert || op.Tag == OpReplace {
+			added = append(added, safe[op.J1:op.J2]...)
+		}
+	}
+	flat := strings.Join(added, " ")
 	if !strings.Contains(flat, "escape") || !strings.Contains(flat, "False") {
-		t.Errorf("insertions = %v", runs)
+		t.Errorf("insertions = %v", added)
 	}
 	// The unchanged material must not be reported.
 	if strings.Contains(flat, "return") {
-		t.Errorf("equal tokens leaked into insertions: %v", runs)
-	}
-}
-
-func flatten(runs [][]string) []string {
-	var out []string
-	for _, r := range runs {
-		out = append(out, r...)
-	}
-	return out
-}
-
-func TestSetSeqsInvalidatesCache(t *testing.T) {
-	m := NewMatcher(words("a b c"), words("a b c"))
-	if m.Ratio() != 1 {
-		t.Fatal("precondition")
-	}
-	m.SetSeqs(words("a b c"), words("x y z"))
-	if m.Ratio() != 0 {
-		t.Error("cache not invalidated by SetSeqs")
+		t.Errorf("equal tokens leaked into insertions: %v", added)
 	}
 }
 
@@ -149,18 +131,6 @@ func TestOpCodesReconstruct(t *testing.T) {
 			}
 		}
 		return reflect.DeepEqual(out, b) || (len(out) == 0 && len(b) == 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ratio is symmetric-ish bounds: in [0,1], and 1 iff equal for
-// non-empty inputs.
-func TestRatioBounds(t *testing.T) {
-	f := func(a, b []string) bool {
-		r := NewMatcher(a, b).Ratio()
-		return r >= 0 && r <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,18 +1,16 @@
 // Package workpool provides the bounded worker pool shared by PatchitPy's
-// concurrent paths: the multi-source detection scan (detect.ScanAll) and
-// the evaluation harness's (tool × sample) cell grid
-// (experiments.RunContext). Workers pull indexed jobs from a shared atomic
-// cursor, so callers get deterministic output by writing each job's result
-// into a slot keyed by its index.
+// concurrent paths: the CLI's multi-file detect, the evaluation harness's
+// (tool × sample) cell grid (experiments.RunContext) and the taint study.
+// Workers pull indexed jobs from a shared atomic cursor, so callers get
+// deterministic output by writing each job's result into a slot keyed by
+// its index.
 package workpool
 
 import (
 	"context"
-	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/dessertlab/patchitpy/internal/obs"
 )
@@ -43,16 +41,6 @@ func Run(ctx context.Context, n, concurrency int, fn func(i int)) error {
 		return ctx.Err()
 	}
 	workers := Clamp(concurrency, n)
-	// A context-carried logger gets one debug record per batch — the
-	// grain an operator cares about; per-job records would drown it.
-	if lg := obs.LoggerFrom(ctx); lg != nil && lg.Enabled(ctx, slog.LevelDebug) {
-		start := time.Now()
-		defer func() {
-			lg.DebugContext(ctx, "workpool batch done",
-				"jobs", n, "workers", workers,
-				"durationMs", float64(time.Since(start))/float64(time.Millisecond))
-		}()
-	}
 	// When the context carries an enabled obs registry, publish the
 	// pool's saturation: batch/job counters plus active-worker and
 	// pending-job gauges. The gauges describe the most recent batch;

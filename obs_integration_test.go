@@ -8,24 +8,8 @@ import (
 	"testing"
 
 	"github.com/dessertlab/patchitpy/internal/detect"
-	"github.com/dessertlab/patchitpy/internal/generator"
 	"github.com/dessertlab/patchitpy/internal/obs"
-	"github.com/dessertlab/patchitpy/internal/prompts"
 )
-
-// corpusSourcesT is corpusSources for tests.
-func corpusSourcesT(t *testing.T) []detect.Source {
-	t.Helper()
-	samples, err := generator.Corpus(prompts.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := make([]detect.Source, len(samples))
-	for i, s := range samples {
-		srcs[i] = detect.Source{Name: s.PromptID + "/" + s.Model, Code: s.Code}
-	}
-	return srcs
-}
 
 // TestObsCorpusScanConsistent scans the full corpus with an enabled
 // registry attached and cross-checks the recorded metrics against each
@@ -34,11 +18,11 @@ func corpusSourcesT(t *testing.T) []detect.Source {
 func TestObsCorpusScanConsistent(t *testing.T) {
 	// Dedupe by code: the scan cache collapses identical sources into one
 	// real scan, which would skew the one-scan-per-source accounting below.
-	var srcs []detect.Source
+	var srcs []string
 	seen := map[string]bool{}
-	for _, s := range corpusSourcesT(t) {
-		if !seen[s.Code] {
-			seen[s.Code] = true
+	for _, s := range corpusSources(t) {
+		if !seen[s] {
+			seen[s] = true
 			srcs = append(srcs, s)
 		}
 	}
@@ -48,13 +32,13 @@ func TestObsCorpusScanConsistent(t *testing.T) {
 	d.SetObs(reg)
 
 	ctx := obs.With(context.Background(), reg)
-	results, err := d.ScanAll(ctx, srcs, detect.Options{})
+	results, err := scanCorpus(ctx, d, srcs, detect.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	findings := 0
-	for _, r := range results {
-		findings += len(r.Findings)
+	for _, fs := range results {
+		findings += len(fs)
 	}
 
 	snap := reg.Snapshot()
@@ -117,7 +101,7 @@ func TestObsCorpusScanConsistent(t *testing.T) {
 
 	// A second pass over the same sources is answered by the scan cache:
 	// hits rise, the uncached-scan counter does not.
-	if _, err := d.ScanAll(ctx, srcs, detect.Options{}); err != nil {
+	if _, err := scanCorpus(ctx, d, srcs, detect.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	snap2 := reg.Snapshot()
@@ -140,21 +124,21 @@ func TestObsCorpusScanConsistent(t *testing.T) {
 // a registry attached are byte-identical to findings without one, and a
 // disabled registry records nothing.
 func TestObsDetachedScanIdentical(t *testing.T) {
-	srcs := corpusSourcesT(t)[:50]
+	srcs := corpusSources(t)[:50]
 
 	plain := detect.New(nil)
 	instrumented := detect.New(nil)
 	reg := obs.NewRegistry() // attached but never enabled
 	instrumented.SetObs(reg)
 
-	for _, s := range srcs {
-		a := plain.ScanWith(s.Code, detect.Options{NoCache: true})
-		b := instrumented.ScanWith(s.Code, detect.Options{NoCache: true})
+	for i, s := range srcs {
+		a := plain.ScanWith(s, detect.Options{NoCache: true})
+		b := instrumented.ScanWith(s, detect.Options{NoCache: true})
 		if len(a) != len(b) {
-			t.Fatalf("%s: instrumented scan changed results: %d vs %d findings", s.Name, len(a), len(b))
+			t.Fatalf("sample %d: instrumented scan changed results: %d vs %d findings", i, len(a), len(b))
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: instrumented scan changed findings", s.Name)
+			t.Fatalf("sample %d: instrumented scan changed findings", i)
 		}
 	}
 	snap := reg.Snapshot()
