@@ -3,9 +3,10 @@
 // spans, mirroring the first phase of the paper's workflow (Fig. 1).
 //
 // Three throughput features make the engine usable on large corpora and
-// under server traffic: a one-pass Aho-Corasick literal prefilter built
-// once per catalog (a single walk of the source yields the candidate-rule
-// bitset; non-candidate rules never run their regexes), a per-source
+// under server traffic: an Aho-Corasick literal prefilter built once per
+// catalog (one walk of the source for exact literals and one through the
+// fold walk for case-insensitive ones yield the candidate-rule bitset;
+// non-candidate rules never run their regexes), a per-source
 // Prepared artifact (comment mask, line index, candidate bitset — each
 // computed at most once per source and shared by all rules), and a
 // content-addressed result cache that makes repeated scans of identical
@@ -67,7 +68,7 @@ type Detector struct {
 	catalog *rules.Catalog
 	rules   []*rules.Rule // catalog order, fetched once
 	filters []ruleFilter  // aligned with rules; feeds the automaton
-	lits    *literalIndex // shared Aho-Corasick automaton over all literals
+	lits    *literalIndex // shared Aho-Corasick automata over all literals
 	allBits bitset        // admit bitset for the zero Options
 
 	// loc classifies each rule for incremental rescans (see locality.go);
@@ -77,9 +78,6 @@ type Detector struct {
 	// ruleIdx maps a rule back to its catalog index, so RescanEdited can
 	// route previous findings to their rule's locality class.
 	ruleIdx map[*rules.Rule]int
-	// zoneRegexRules lists rule indices whose affectedness uses the
-	// direct zone-match fallback (see locality.zoneRegex).
-	zoneRegexRules []int
 
 	// seenPool recycles the automaton's per-scan literal scratch slice.
 	seenPool sync.Pool
@@ -167,7 +165,7 @@ func (d *Detector) SetObs(reg *obs.Registry) {
 }
 
 // New returns a Detector over the given catalog; a nil catalog uses the
-// built-in one. The literal prefilter automaton is built here, once, and
+// built-in one. The literal prefilter automata are built here, once, and
 // the result cache starts at DefaultCacheBytes.
 func New(catalog *rules.Catalog) *Detector {
 	if catalog == nil {
@@ -179,7 +177,7 @@ func New(catalog *rules.Catalog) *Detector {
 		rules:   rs,
 		filters: buildFilters(rs),
 	}
-	excludesLits := make([][]string, len(rs))
+	excludesLits := make([][]Literal, len(rs))
 	for i, r := range rs {
 		if r.Excludes != nil {
 			excludesLits[i] = requiredLiterals(r.Excludes.String())
@@ -192,11 +190,8 @@ func New(catalog *rules.Catalog) *Detector {
 	for i := range rs {
 		d.allBits.set(i)
 		d.ruleIdx[rs[i]] = i
-		if d.loc[i].needsZoneRegex() {
-			d.zoneRegexRules = append(d.zoneRegexRules, i)
-		}
 	}
-	n := d.lits.ac.numLiterals
+	n := d.lits.numLiterals
 	d.seenPool.New = func() any {
 		s := make([]bool, n)
 		return &s

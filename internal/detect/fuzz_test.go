@@ -25,6 +25,11 @@ func FuzzScanPrepared(f *testing.F) {
 		"requests.get(url, verify=False)\n",
 		"'''eval(\ninside a docstring\n'''\n",
 		"\x00\x80\xff eval(",
+		// Case-insensitive rules: ſ folds with s and the Kelvin sign
+		// with k, so only a full fold walk admits the first two.
+		"PA\u017f\u017fWORD = \"hunter22\"\n",
+		"api_\u212aey = \"abcdefgh\"\n",
+		"Password = \"hunter22\"\nSECRET = 'abcdefgh'\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

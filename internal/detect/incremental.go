@@ -50,14 +50,22 @@ type tokArtifacts struct {
 	tokOK     bool
 }
 
-// buildArtifacts tokenizes src and derives the artifact tables. ix must
-// index src.
+// buildArtifacts tokenizes src and derives the artifact tables, reading
+// the token stream as it is produced rather than materializing it. ix
+// must index src.
 func buildArtifacts(src string, ix lineindex.Index) tokArtifacts {
-	toks, err := pytoken.TokenizeAll(src)
-	a := tokArtifacts{tokOK: err == nil, lineDepth: make([]int32, ix.NumLines())}
+	a := tokArtifacts{tokOK: true, lineDepth: make([]int32, ix.NumLines())}
 	depth := int32(0)
 	k := 0
-	for _, t := range toks {
+	for tz := pytoken.New(src); ; {
+		t, err := tz.Next()
+		if err != nil {
+			a.tokOK = false
+			break
+		}
+		if t.Kind == pytoken.KindEOF {
+			break
+		}
 		off := t.Pos.Offset
 		for k < ix.NumLines() && ix.LineStart(k) <= off {
 			a.lineDepth[k] = depth
@@ -122,10 +130,6 @@ func analyzeWindow(text string) winInfo {
 			return w
 		}
 	}
-	toks, err := pytoken.TokenizeAll(text)
-	if err != nil {
-		return w
-	}
 	ix := lineindex.New(text)
 	nLines := ix.NumLines()
 	if len(text) > 0 && text[len(text)-1] == '\n' {
@@ -137,7 +141,14 @@ func analyzeWindow(text string) winInfo {
 	depth := int32(0)
 	k := 0
 	starts := []int{0}
-	for _, t := range toks {
+	for tz := pytoken.New(text); ; {
+		t, err := tz.Next()
+		if err != nil {
+			return winInfo{}
+		}
+		if t.Kind == pytoken.KindEOF {
+			break
+		}
 		off := t.Pos.Offset
 		for k < nLines && ix.LineStart(k) <= off {
 			w.lineDepths[k] = depth
@@ -343,37 +354,6 @@ func zoneBounds(src string, ix lineindex.Index, ws, we, hops, slop int) (int, in
 	return lo, hi
 }
 
-// regexZone is the zone slice used by the direct zone-match fallback:
-// line-aligned hop-widened bounds plus one byte of context on each side,
-// so (?m)^/$ and \b behave at the boundaries exactly as in the full
-// document. (Go regexps have no lookaround, so one byte suffices.)
-func regexZone(src string, ix lineindex.Index, ws, we, hops int) (int, int) {
-	lo, hi := zoneBounds(src, ix, ws, we, hops, 0)
-	if lo > 0 {
-		lo--
-	}
-	if hi < len(src) {
-		hi++
-	}
-	return lo, hi
-}
-
-// zoneRegexMatch runs the rule's zone-flagged regexes against the zone
-// slice; a match means an edit may have created or destroyed a match (or
-// flipped a gate) and the rule must re-run.
-func zoneRegexMatch(r *rules.Rule, l locality, seg string) bool {
-	if l.zoneRegex[0] && r.Pattern.MatchString(seg) {
-		return true
-	}
-	if l.zoneRegex[1] && r.Requires.MatchString(seg) {
-		return true
-	}
-	if l.zoneRegex[2] && r.Excludes.MatchString(seg) {
-		return true
-	}
-	return false
-}
-
 // pendingEdit accumulates the state of an edit sequence between the first
 // ApplyEdit and the RescanEdited that consumes it.
 type pendingEdit struct {
@@ -381,7 +361,6 @@ type pendingEdit struct {
 	weNew      int    // merged window end, in current-source coordinates
 	totalDelta int    // len(current) - len(pre-sequence source)
 	seenOld    []bool // literals seen in any per-edit old-text zone
-	affOld     []bool // per-rule: a zone-regex rule matched an old-text zone
 	maskStale  bool   // an artifact splice failed; tok artifacts dropped
 	oldMask    []span // pre-sequence comment mask, for tier-2 comparison
 }
@@ -474,8 +453,7 @@ func (p *Prepared) applySpan(start, end int, repl string) {
 	if p.pending == nil {
 		p.pending = &pendingEdit{
 			ws:      -1,
-			seenOld: make([]bool, d.lits.ac.numLiterals),
-			affOld:  make([]bool, len(d.rules)),
+			seenOld: make([]bool, d.lits.numLiterals),
 			oldMask: tok.mask,
 		}
 	}
@@ -488,19 +466,7 @@ func (p *Prepared) applySpan(start, end int, repl string) {
 		slop = 0
 	}
 	lo, hi := zoneBounds(src, ix, ws, weOld, d.zoneReach, slop)
-	d.lits.ac.scan(src[lo:hi], pd.seenOld)
-
-	// Literal-less analyzable rules match their regexes directly against
-	// the old-text zone (bounded work) instead of riding the automaton.
-	if len(d.zoneRegexRules) > 0 {
-		rlo, rhi := regexZone(src, ix, ws, weOld, d.zoneReach)
-		seg := src[rlo:rhi]
-		for _, i := range d.zoneRegexRules {
-			if !pd.affOld[i] {
-				pd.affOld[i] = zoneRegexMatch(d.rules[i], d.loc[i], seg)
-			}
-		}
-	}
+	d.lits.scan(src[lo:hi], pd.seenOld)
 
 	delta := len(repl) - (end - start)
 	weNew := weOld + delta
@@ -760,17 +726,7 @@ func (d *Detector) RescanEditedContext(ctx context.Context, p *Prepared, prev []
 		slop = 0
 	}
 	lo, hi := zoneBounds(src, ix, ws, weNew, d.zoneReach, slop)
-	d.lits.ac.scan(src[lo:hi], seenNew)
-	affRe := pd.affOld
-	if len(d.zoneRegexRules) > 0 {
-		rlo, rhi := regexZone(src, ix, ws, weNew, d.zoneReach)
-		seg := src[rlo:rhi]
-		for _, i := range d.zoneRegexRules {
-			if !affRe[i] {
-				affRe[i] = zoneRegexMatch(d.rules[i], d.loc[i], seg)
-			}
-		}
-	}
+	d.lits.scan(src[lo:hi], seenNew)
 	if p.haveCand && p.candStale {
 		for i := range d.rules {
 			if !p.cand.has(i) && (anySeenIn(seenNew, d.lits.patternIDs[i]) || anySeenIn(seenNew, d.lits.requiresIDs[i])) {
@@ -786,8 +742,7 @@ func (d *Detector) RescanEditedContext(ctx context.Context, p *Prepared, prev []
 	admit := d.admitBits(opt, fp)
 	prefPass := func(i int) bool { return opt.NoPrefilter || cand.has(i) }
 	affected := func(i int) bool {
-		return affRe[i] ||
-			anySeenIn(pd.seenOld, d.lits.patternIDs[i]) || anySeenIn(seenNew, d.lits.patternIDs[i]) ||
+		return anySeenIn(pd.seenOld, d.lits.patternIDs[i]) || anySeenIn(seenNew, d.lits.patternIDs[i]) ||
 			anySeenIn(pd.seenOld, d.lits.requiresIDs[i]) || anySeenIn(seenNew, d.lits.requiresIDs[i]) ||
 			anySeenIn(pd.seenOld, d.lits.excludesIDs[i]) || anySeenIn(seenNew, d.lits.excludesIDs[i])
 	}

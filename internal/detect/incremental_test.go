@@ -492,6 +492,11 @@ func FuzzApplyEdit(f *testing.F) {
 	f.Add("import os\nos.system(cmd)\n# c\nx = eval(d)\n", 10, 5, "yaml.load(")
 	f.Add("s = \"\"\"\ntext\n\"\"\"\ny = 1\n", 4, 8, "'''")
 	f.Add("a = (1,\n2)\r\nb = 2\n", 0, 3, "#")
+	// Case-folded secrets inserted at a window edge: the start of a line
+	// and the end of the text.
+	f.Add("x = 1\ny = 2\n", 6, 0, "PA\u017f\u017fWORD = \"hunter22\"\n")
+	f.Add("x = 1\n", 6, 0, "api_\u212aey = \"abcdefgh\"")
+	f.Add("Password\nx = \"hunter22\"\nSECRET = 'abcdefgh'\n", 9, 1, "")
 	d := detect.New(nil)
 	f.Fuzz(func(t *testing.T, src string, start, n int, repl string) {
 		if len(src) > 1<<14 || len(repl) > 1<<10 {

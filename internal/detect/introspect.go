@@ -14,10 +14,10 @@ import "github.com/dessertlab/patchitpy/internal/rules"
 type LiteralSets struct {
 	// Pattern holds literals of which at least one must appear in any
 	// match of the rule's Pattern.
-	Pattern []string
+	Pattern []Literal
 	// Requires holds the same for the rule's Requires gate; nil when the
 	// rule has no gate or the gate yields no usable set.
-	Requires []string
+	Requires []Literal
 }
 
 // Prefilterable reports whether the prefilter can ever skip the rule: at

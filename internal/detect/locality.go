@@ -49,21 +49,6 @@ const maxWsSegments = 15
 type locality struct {
 	class ruleClass
 	reach int
-	// zoneRegex flags which of the rule's regexes decide affectedness by
-	// matching directly against the dirty zone (slots: 0 pattern,
-	// 1 requires, 2 excludes). Used when a regex carries no usable
-	// literal set: for a whitespace-gap-bounded, unanchored regex, "no
-	// match in the old zone and none in the new zone" proves no match
-	// anywhere intersects the window, which is exactly what replay
-	// needs. Costs one bounded MatchString per edit instead of riding
-	// the shared literal automaton.
-	zoneRegex [3]bool
-}
-
-// needsZoneRegex reports whether any of the rule's regexes uses the
-// direct zone-match fallback.
-func (l locality) needsZoneRegex() bool {
-	return l.zoneRegex[0] || l.zoneRegex[1] || l.zoneRegex[2]
 }
 
 // exprInfo summarizes one parsed regex for locality classification.
@@ -248,7 +233,7 @@ func analyzeRe(re *syntax.Regexp) exprInfo {
 // excludesLits[i] is the mandatory-literal set of rule i's Excludes gate
 // (nil when absent or unusable), mirroring filters[i] for the other two
 // regexes.
-func classifyRules(rs []*rules.Rule, filters []ruleFilter, excludesLits [][]string) ([]locality, int) {
+func classifyRules(rs []*rules.Rule, filters []ruleFilter, excludesLits [][]Literal) ([]locality, int) {
 	out := make([]locality, len(rs))
 	zoneReach := 0
 	for i, r := range rs {
@@ -260,35 +245,24 @@ func classifyRules(rs []*rules.Rule, filters []ruleFilter, excludesLits [][]stri
 			out[i] = locality{class: classPureLocal}
 			continue
 		}
-		// Analyzable needs the whitespace-gap property for the pattern and
-		// every present gate, plus one affectedness mechanism per regex:
-		// a literal set (checked on the shared automaton's zone scan) or,
-		// failing that, the direct zone-match fallback — which demands an
-		// unanchored regex, since \A/\z would bind to the zone slice
-		// rather than the document.
+		// Analyzable needs the whitespace-gap property and a literal set
+		// (checked on the shared automata's zone scan) for the pattern and
+		// every present gate.
 		loc := locality{class: classAnalyzable}
 		segs := 0
-		check := func(info exprInfo, lits []string, slot int) bool {
-			if !info.parseOK || !info.ok || info.segs > maxWsSegments {
+		check := func(info exprInfo, lits []Literal) bool {
+			if !info.parseOK || !info.ok || info.segs > maxWsSegments || lits == nil {
 				return false
 			}
-			if info.segs > segs {
-				segs = info.segs
-			}
-			if lits == nil {
-				if info.anchored {
-					return false
-				}
-				loc.zoneRegex[slot] = true
-			}
+			segs = max(segs, info.segs)
 			return true
 		}
-		okA := check(pi, filters[i].patternLits, 0)
+		okA := check(pi, filters[i].patternLits)
 		if okA && r.Requires != nil {
-			okA = check(analyzeExpr(r.Requires.String()), filters[i].requiresLits, 1)
+			okA = check(analyzeExpr(r.Requires.String()), filters[i].requiresLits)
 		}
 		if okA && r.Excludes != nil {
-			okA = check(analyzeExpr(r.Excludes.String()), excludesLits[i], 2)
+			okA = check(analyzeExpr(r.Excludes.String()), excludesLits[i])
 		}
 		if !okA {
 			continue // classGlobal

@@ -8,33 +8,75 @@ import (
 	"github.com/dessertlab/patchitpy/internal/prompts"
 )
 
+// lits builds a literal set of one kind, for table expectations.
+func lits(fold bool, texts ...string) []Literal {
+	out := make([]Literal, len(texts))
+	for i, t := range texts {
+		out[i] = Literal{Text: t, Fold: fold}
+	}
+	return out
+}
+
 func TestRequiredLiteralsShapes(t *testing.T) {
 	cases := []struct {
 		expr string
-		want []string // nil = unfilterable
+		want []Literal // nil = unfilterable
 	}{
-		{`(?m)\beval\(`, []string{"eval("}},
-		{`(?m)os\.system\(\s*([^)\n]+)\)`, []string{"os.system("}},
-		{`(?m)shell\s*=\s*True`, []string{"shell"}},
-		{`ast\.literal_eval|model\.eval\(|\.eval\(\)`, []string{"ast.literal_eval", "model.eval(", ".eval()"}},
-		{`request\.|input\(|sys\.argv|recv\(`, []string{"request.", "input(", "sys.argv", "recv("}},
-		// Case folding cannot be probed with a plain Contains.
-		{`(?i)token|password|secret`, nil},
+		{`(?m)\beval\(`, lits(false, "eval(")},
+		{`(?m)os\.system\(\s*([^)\n]+)\)`, lits(false, "os.system(")},
+		{`(?m)shell\s*=\s*True`, lits(false, "shell")},
+		{`ast\.literal_eval|model\.eval\(|\.eval\(\)`, lits(false, "ast.literal_eval", "model.eval(", ".eval()")},
+		{`request\.|input\(|sys\.argv|recv\(`, lits(false, "request.", "input(", "sys.argv", "recv(")},
+		// Case folding yields folded literals in fold-normal form.
+		{`(?i)token|password|secret`, lits(true, "token", "password", "secret")},
+		{`(?i)os\.SYSTEM\(`, lits(true, "os.system(")},
+		// A rune outside ASCII other than ſ and K refuses the literal.
+		{`(?i)straße`, nil},
+		{`(?i)€€`, nil},
 		// Pure char classes / anchors have no mandatory literal.
 		{`[a-z]+\d*`, nil},
 		// An alternation with one unfilterable branch is unfilterable.
 		{`pickle\.loads|[a-z]{3}`, nil},
 		// Optional subtrees contribute nothing; the mandatory part wins.
-		{`(?:unsafe_)?yaml\.load\(`, []string{"yaml.load("}},
+		{`(?:unsafe_)?yaml\.load\(`, lits(false, "yaml.load(")},
 		// x{2,} repeats guarantee at least one occurrence.
-		{`(?:md5){2,}`, []string{"md5"}},
+		{`(?:md5){2,}`, lits(false, "md5")},
 		// Single-byte literals are dropped as useless.
 		{`\w+=\d`, nil},
 	}
 	for _, tc := range cases {
 		got := requiredLiterals(tc.expr)
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("requiredLiterals(%q) = %q, want %q", tc.expr, got, tc.want)
+			t.Errorf("requiredLiterals(%q) = %+v, want %+v", tc.expr, got, tc.want)
+		}
+	}
+}
+
+// TestPrefilterFoldSound pins the case-insensitive rules on sources only
+// a full Unicode fold admits: Go's (?i) matches ſ as s and the Kelvin
+// sign as k, so a fold walk that lowered ASCII alone would skip these
+// rules and lose their findings.
+func TestPrefilterFoldSound(t *testing.T) {
+	d := New(nil)
+	cases := []struct{ src, rule string }{
+		{"PA\u017f\u017fWORD = \"hunter22\"\n", "PIP-AUT-001"},
+		{"api_\u212aey = \"abcdefgh\"\n", "PIP-AUT-002"},
+		{"Password = \"hunter22\"\n", "PIP-AUT-001"},
+		{"SECRET = \"abcdefgh\"\n", "PIP-AUT-003"},
+		{"db.write(PassWord)\n", "PIP-AUT-008"},
+	}
+	for _, tc := range cases {
+		fast := d.ScanWith(tc.src, Options{NoCache: true})
+		slow := d.ScanWith(tc.src, Options{NoCache: true, NoPrefilter: true})
+		if !reflect.DeepEqual(fast, slow) {
+			t.Errorf("%q: prefiltered %v, unfiltered %v", tc.src, findIDs(fast), findIDs(slow))
+		}
+		fired := false
+		for _, f := range slow {
+			fired = fired || f.Rule.ID == tc.rule
+		}
+		if !fired {
+			t.Errorf("%q: %s did not fire (findings %v)", tc.src, tc.rule, findIDs(slow))
 		}
 	}
 }

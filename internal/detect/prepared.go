@@ -12,7 +12,7 @@ import (
 // Prepared carries the per-source artifacts every rule of a scan shares:
 // the comment mask (plus the string-span and bracket-depth tables the
 // incremental path needs), the newline-offset line index, and the literal
-// automaton's candidate-rule bitset. Each artifact is computed at most
+// automata's candidate-rule bitset. Each artifact is computed at most
 // once per source version and only when first needed.
 //
 // Since the incremental-scanning refactor a Prepared is a mutable,
@@ -121,8 +121,8 @@ func (p *Prepared) TaintAnalysis() (*taint.Analysis, time.Duration) {
 	return p.taintA, time.Since(t0)
 }
 
-// candidates returns the automaton's candidate-rule bitset, running the
-// one-pass literal scan on first call.
+// candidates returns the automata's candidate-rule bitset, running the
+// literal scan on first call.
 func (p *Prepared) candidates() bitset {
 	p.mu.Lock()
 	defer p.mu.Unlock()

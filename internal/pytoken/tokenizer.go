@@ -56,7 +56,11 @@ func TokenizeAll(src string) ([]Token, error) {
 
 func tokenizeFiltered(src string, keepTrivia bool) ([]Token, error) {
 	tz := New(src)
-	var out []Token
+	// Python source runs at about 0.27-0.31 tokens per byte; starting
+	// near that spares the slice its chain of doublings. The cap keeps a
+	// sparse multi-megabyte input (one long string, say) from reserving
+	// tens of megabytes it will never fill.
+	out := make([]Token, 0, min(len(src)/4, 1<<16)+16)
 	for {
 		tok, err := tz.Next()
 		if err != nil {
@@ -93,9 +97,7 @@ func (t *Tokenizer) byteAt(i int) byte {
 // Next returns the next token. After returning EOF it keeps returning EOF.
 func (t *Tokenizer) Next() (Token, error) {
 	if len(t.pending) > 0 {
-		tok := t.pending[0]
-		t.pending = t.pending[1:]
-		return tok, nil
+		return t.popPending(), nil
 	}
 	if t.eofSent {
 		return Token{Kind: KindEOF, Pos: t.position(), End: t.position()}, nil
@@ -165,18 +167,14 @@ func (t *Tokenizer) handleLineStart() (Token, bool, error) {
 			if t.pos >= len(t.src) {
 				t.atLineStart = false
 				if len(t.pending) > 0 {
-					tok := t.pending[0]
-					t.pending = t.pending[1:]
-					return tok, true, nil
+					return t.popPending(), true, nil
 				}
 				tok, err := t.emitEOF()
 				return tok, true, err
 			}
 			nl := t.lexPhysicalNewline(KindNL)
 			t.pending = append(t.pending, nl)
-			tok := t.pending[0]
-			t.pending = t.pending[1:]
-			return tok, true, nil
+			return t.popPending(), true, nil
 		}
 
 		t.atLineStart = false
@@ -194,13 +192,24 @@ func (t *Tokenizer) handleLineStart() (Token, bool, error) {
 			if t.indents[len(t.indents)-1] != indent {
 				return Token{}, false, &SyntaxError{Msg: "unindent does not match any outer indentation level", Pos: pos}
 			}
-			tok := t.pending[0]
-			t.pending = t.pending[1:]
-			return tok, true, nil
+			return t.popPending(), true, nil
 		default:
 			return Token{}, false, nil
 		}
 	}
+}
+
+// popPending dequeues the oldest pending token. Draining the queue
+// rewinds it in place, so the one-token bursts of blank and comment
+// lines reuse its array instead of allocating a new one each.
+func (t *Tokenizer) popPending() Token {
+	tok := t.pending[0]
+	if len(t.pending) == 1 {
+		t.pending = t.pending[:0]
+	} else {
+		t.pending = t.pending[1:]
+	}
+	return tok
 }
 
 func (t *Tokenizer) skipSpaces() {
@@ -253,9 +262,7 @@ func (t *Tokenizer) emitEOF() (Token, error) {
 		}
 		t.pending = append(t.pending, Token{Kind: KindEOF, Pos: pos, End: pos})
 		t.eofSent = true
-		tok := t.pending[0]
-		t.pending = t.pending[1:]
-		return tok, nil
+		return t.popPending(), nil
 	}
 	t.eofSent = true
 	return Token{Kind: KindEOF, Pos: pos, End: pos}, nil
@@ -441,10 +448,19 @@ var operators = []string{
 	">", "(", ")", "[", "]", "{", "}", ",", ":", ".", ";", "=",
 }
 
+// operatorsByByte lists the operators by first byte, in the order of
+// operators, so lexOperator tries only the few that can match.
+var operatorsByByte = func() (idx [256][]string) {
+	for _, op := range operators {
+		idx[op[0]] = append(idx[op[0]], op)
+	}
+	return idx
+}()
+
 func (t *Tokenizer) lexOperator() (Token, error) {
 	start := t.position()
 	rest := t.src[t.pos:]
-	for _, op := range operators {
+	for _, op := range operatorsByByte[rest[0]] {
 		if strings.HasPrefix(rest, op) {
 			t.pos += len(op)
 			switch op {

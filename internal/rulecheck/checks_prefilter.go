@@ -18,7 +18,7 @@ func (ck *checker) checkPrefilter() {
 		ls := detect.PrefilterLiterals(r)
 		if !ls.Prefilterable() {
 			ck.add(SeverityWarning, "prefilter-empty", i,
-				"no mandatory literal could be extracted from pattern or gate (rule runs on every source; usually caused by case-folded or too-short literals)")
+				"no mandatory literal could be extracted from pattern or gate (rule runs on every source; usually caused by too-short literals)")
 		}
 
 		wit := ck.wits[i]

@@ -33,8 +33,6 @@ func TestShippedCatalogKnownAdvisories(t *testing.T) {
 		got[is.Check] = append(got[is.Check], is.RuleID)
 	}
 	want := map[string][]string{
-		// (?mi) case-folds every literal, so no prefilter set exists.
-		"prefilter-empty": {"PIP-AUT-001", "PIP-AUT-002", "PIP-AUT-003", "PIP-AUT-008", "PIP-AUT-009"},
 		// Deliberate severity tiering over the same verify=False pattern.
 		"duplicate-pattern": {"PIP-CRY-016"},
 		// exec(resp.content) matches both the integrity and eval-injection rules.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dessertlab/patchitpy/internal/detect"
 	"github.com/dessertlab/patchitpy/internal/rules"
 )
 
@@ -58,14 +59,26 @@ func TestSeededRedos(t *testing.T) {
 }
 
 func TestSeededPrefilterEmpty(t *testing.T) {
-	// (?i) case-folds the literal, so the extractor refuses it.
-	r := seedRule("PIP-TST-001", `(?i)supersecret`)
+	// Char classes and a single-byte literal leave nothing to extract.
+	r := seedRule("PIP-TST-001", `[a-z]+\d*=`)
 	got := issuesFor(t, "prefilter-empty", r)
 	if len(got) != 1 {
-		t.Fatalf("prefilter-empty fired %d times on a case-folded pattern, want 1", len(got))
+		t.Fatalf("prefilter-empty fired %d times on a literal-free pattern, want 1", len(got))
 	}
 	if got[0].Severity != SeverityWarning {
 		t.Errorf("prefilter-empty severity = %v, want WARNING", got[0].Severity)
+	}
+
+	// A case-folded literal is prefilterable, and the automaton admits
+	// the rule on its own witness.
+	folded := seedRule("PIP-TST-002", `(?i)supersecret`)
+	if !detect.PrefilterLiterals(folded).Prefilterable() {
+		t.Error("(?i)supersecret is not prefilterable")
+	}
+	for _, check := range []string{"prefilter-empty", "prefilter-unsound", "witness-failure"} {
+		if got := issuesFor(t, check, folded); len(got) != 0 {
+			t.Errorf("%s fired on (?i)supersecret: %v", check, got)
+		}
 	}
 }
 

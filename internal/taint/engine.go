@@ -63,8 +63,13 @@ func Analyze(src string) *Analysis {
 	if err != nil {
 		return &Analysis{Stats: Stats{Degraded: true}}
 	}
-	return AnalyzeModule(m, DefaultSpec())
+	return AnalyzeModule(m, defaultSpec)
 }
+
+// defaultSpec is the shipped spec shared by every Analyze call. The
+// engine only reads its spec, so one value serves all callers; DefaultSpec
+// still hands out fresh copies for callers that extend it.
+var defaultSpec = DefaultSpec()
 
 // AnalyzeWith is Analyze with a custom spec.
 func AnalyzeWith(src string, spec *Spec) *Analysis {
